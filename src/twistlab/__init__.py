@@ -58,7 +58,7 @@ from .twisted import (
     cochain_complex,
     compare_les,
     induced_chain_map,
-    relative_complexes,
+    relative_complex,
 )
 from .duality import (
     DualityReport,

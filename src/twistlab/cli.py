@@ -36,7 +36,7 @@ from .twisted import (
     cochain_complex,
     compare_les,
     induced_chain_map,
-    relative_complexes,
+    relative_complex,
 )
 
 
@@ -148,8 +148,7 @@ def _yn(b) -> str:
 def _cmd_groups(args, out, kind: str):
     K, G, pair = _load_inputs(args)
     if pair is not None:
-        chainC, cochainC = relative_complexes(pair, G)
-        C = chainC if kind == "homology" else cochainC
+        C = relative_complex(pair, G, "chain" if kind == "homology" else "cochain")
         where = f"{K.name} relative to {args.sub}"
     else:
         C = chain_complex(K, G) if kind == "homology" else cochain_complex(K, G)

@@ -53,6 +53,10 @@ class DeltaComplex:
     def __contains__(self, name):
         return name in self._simplices
 
+    def same_complex(self, other: "DeltaComplex") -> bool:
+        """Whether other is this complex or has the same simplices and faces."""
+        return self is other or self._simplices == other._simplices
+
     def dim_of(self, name: str) -> int:
         return self._simplices[name].dim
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .complexes import DeltaComplex, pseudomanifold_check
 from .errors import TwistlabError, ValidationError
-from .homology import ChainMapData, ModulePresentation, is_quasi_iso
+from .homology import ChainMapData, FreeComplex, ModulePresentation, is_quasi_iso
 from .matrices import Matrix
 from .rings import Z
 from .systems import (
@@ -29,7 +29,7 @@ from .systems import (
     tensor_systems,
     tensor_vectors,
 )
-from .twisted import TwistedComplex, chain_complex, cochain_complex
+from .twisted import chain_complex, cochain_complex
 
 # Calibrated Leibniz signs: s1 is degree-independent, s2 depends only on the
 # cochain degree k.  Asserted across random instances in the test suite.
@@ -120,8 +120,8 @@ def cap_product(K: DeltaComplex, G: LocalSystem, H: LocalSystem, k: int,
     """Cap a degree-k cochain (coefficients in G) with a degree-m chain
     (coefficients in H); the result is an (m-k)-chain with coefficients in
     the tensor system G (x) H."""
-    if G.base.name != K.name or H.base.name != K.name:
-        raise TwistlabError("cap product needs systems on the same base complex")
+    if not (G.base.same_complex(K) and H.base.same_complex(K)):
+        raise ValidationError("cap product needs systems on the same base complex")
     if G.ring != H.ring:
         raise TwistlabError("cap product needs systems over the same ring")
     if not (0 <= k <= m <= K.dimension):
@@ -167,7 +167,13 @@ def cap_with_fundamental_class(K: DeltaComplex, G: LocalSystem,
     GH = tensor_systems(G, w)
     target = chain_complex(K, GH)
     cochain = cochain_complex(K, G)
-    source = _CochainAsChain(cochain, n)
+    # Degree j holds C^{n-j}; the cochain complex already checked d.d = 0.
+    source = FreeComplex(
+        f"{cochain.label}[rev]", ring, "chain",
+        {n - k: cochain.rank(k) for k in cochain.degrees()},
+        {n - k: cochain.diff(k) for k in cochain.degrees()},
+        check=False,
+    )
     zvec = mu.chain_vector(ring)
     mats = {}
     dG = G.rank
@@ -183,39 +189,6 @@ def cap_with_fundamental_class(K: DeltaComplex, G: LocalSystem,
                 mat.rows[i][col] = x
         mats[j] = mat
     return ChainMapData(f"cap({mu.complex.name})", source, target, mats, -1)
-
-
-class _CochainAsChain:
-    """Chain-direction view of a cochain complex: degree j holds C^{top-j}."""
-
-    def __init__(self, complex: TwistedComplex, top: int):
-        self.inner = complex
-        self.top = top
-        self.direction = "chain"
-        self.ring = complex.ring
-        self.label = f"{complex.label}[rev]"
-
-    def rank(self, j):
-        return self.inner.rank(self.top - j)
-
-    def degrees(self):
-        return sorted(self.top - k for k in self.inner.degrees())
-
-    def degree_span(self):
-        ds = self.degrees()
-        return list(range(ds[0], ds[-1] + 1)) if ds else []
-
-    def diff(self, j):
-        return self.inner.diff(self.top - j)
-
-    def homology_ctx(self, j):
-        return self.inner.homology_ctx(self.top - j)
-
-    def homology(self, j):
-        return self.inner.homology(self.top - j)
-
-    def class_coordinates(self, j, vec):
-        return self.inner.class_coordinates(self.top - j, vec)
 
 
 @dataclass
@@ -257,19 +230,16 @@ def duality_report(K: DeltaComplex, G: LocalSystem) -> DualityReport:
     mu = fundamental_class(K, w)
     cap = cap_with_fundamental_class(K, G, mu)
     n = K.dimension
-    cochain = cochain_complex(K, G)
-    wr = cast_system(w, G.ring)
-    twisted_chain = chain_complex(K, tensor_systems(G, wr))
     report = DualityReport(K, G, w, trivializable, mu)
     for k in range(n + 1):
         report.degrees.append(
-            DualityDegree(k, cochain.homology(k), twisted_chain.homology(n - k))
+            DualityDegree(k, cap.source.homology(n - k), cap.target.homology(n - k))
         )
     report.cap_quasi_iso = is_quasi_iso(cap)
     if trivializable:
         plain = chain_complex(K, G)
         report.orientable_reading_agrees = all(
-            plain.homology(n - k).isomorphic_to(twisted_chain.homology(n - k))
-            for k in range(n + 1)
+            plain.homology(j).isomorphic_to(cap.target.homology(j))
+            for j in range(n + 1)
         )
     return report

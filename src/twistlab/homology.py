@@ -4,7 +4,9 @@ Over Z a homology group is presented by Smith normal form: a free rank, a
 divisibility chain of invariant factors, and one representative cycle per
 generator (torsion generators first, then free ones).  Over Q or F_p the same
 code path degenerates to ranks.  Induced maps, mapping cones, and exactness
-checking of assembled sequences all run through these presentations.
+checking of assembled sequences all run through these presentations.  Class
+coordinates are computed a matrix at a time: one call reads the classes of all
+columns of a cycle matrix from a single solve against the cycle basis.
 """
 
 from __future__ import annotations
@@ -91,13 +93,22 @@ class FreeComplex:
     def homology(self, k: int) -> "ModulePresentation":
         return self.homology_ctx(k)[0]
 
-    def class_coordinates(self, k: int, vec: list) -> list:
-        """Coordinates of the class of a cycle in the degree-k presentation."""
-        pres, ctx = self.homology_ctx(k)
-        dv = self.diff(k).mul_vec(vec)
-        if any(not self.ring.is_zero(x) for x in dv):
-            raise TwistlabError(f"{self.label}: vector at degree {k} is not a cycle")
-        return _coords_in_presentation(self.ring, ctx, vec)
+    def class_coordinates(self, k: int, cycles: Matrix) -> Matrix:
+        """Coordinates in the degree-k presentation of the classes of the
+        columns of cycles, one column each."""
+        _, ctx = self.homology_ctx(k)
+        if not self.diff(k).mul(cycles).is_zero():
+            raise TwistlabError(f"{self.label}: a column at degree {k} is not a cycle")
+        zeta = solve(ctx.cycles, cycles)
+        if zeta is None:
+            raise TwistlabError(f"{self.label}: a column at degree {k} is not in the cycle module")
+        gamma = ctx.uprime.mul(zeta).select_rows(ctx.kept)
+        if not self.ring.is_field:
+            for row, i in zip(gamma.rows, ctx.kept):
+                d = ctx.orders[i]
+                if d >= 2:
+                    row[:] = [c % d for c in row]
+        return gamma
 
     def is_acyclic(self) -> bool:
         return all(self.homology(k).is_zero for k in self.degree_span())
@@ -216,21 +227,6 @@ def presentation_of_quotient(ring: Ring, cycles: Matrix, boundaries: Matrix):
     return pres, _QuotientContext(cycles, snf.U, orders, kept)
 
 
-def _coords_in_presentation(ring: Ring, ctx: _QuotientContext, vec: list) -> list:
-    zeta = solve(ctx.cycles, Matrix.column(ring, vec))
-    if zeta is None:
-        raise TwistlabError("vector is not in the cycle module")
-    gamma = ctx.uprime.mul(zeta)
-    out = []
-    for i in ctx.kept:
-        c = gamma.rows[i][0]
-        d = ctx.orders[i]
-        if not ring.is_field and d >= 2:
-            c = c % d
-        out.append(c)
-    return out
-
-
 # -- chain maps -------------------------------------------------------
 
 
@@ -291,18 +287,9 @@ class ChainMapData:
 def induced_map_on_homology(F: ChainMapData, k: int) -> Matrix:
     """Matrix of the induced map between homology presentations at degree k."""
     ring = F.ring
-    src, src_ctx = F.source.homology_ctx(k)
-    tgt, _ = F.target.homology_ctx(k)
-    cols = []
-    mat = F.matrix(k)
-    for j in range(src.generators):
-        rep = src.representatives.col(j)
-        img = mat.mul_vec(rep)
-        cols.append(F.target.class_coordinates(k, img))
-    out = Matrix.zeros(ring, tgt.generators, src.generators)
-    for j, c in enumerate(cols):
-        for i in range(tgt.generators):
-            out.rows[i][j] = c[i]
+    src = F.source.homology(k)
+    tgt = F.target.homology(k)
+    out = F.target.class_coordinates(k, F.matrix(k).mul(src.representatives))
     # Torsion-order compatibility: order(source gen) must kill the image.
     if not ring.is_field:
         tgt_orders = tgt.relation_orders()
@@ -421,21 +408,6 @@ def _relations_matrix(ring: Ring, pres: ModulePresentation) -> Matrix:
     return R
 
 
-def _composite_vanishes(ring, f: Matrix, g: Matrix, end: ModulePresentation) -> bool:
-    comp = g.mul(f)
-    orders = end.relation_orders()
-    for i in range(comp.nrows):
-        d = orders[i]
-        for x in comp.rows[i]:
-            if ring.is_field or d == 0:
-                if not ring.is_zero(x):
-                    return False
-            else:
-                if x % d != 0:
-                    return False
-    return True
-
-
 def exactness_check(modules: list[ModulePresentation],
                     maps: list[Matrix],
                     labels: list[str] | None = None) -> ExactnessReport:
@@ -463,7 +435,10 @@ def exactness_check(modules: list[ModulePresentation],
             nxt = zero_presentation(ring)
         comp_ok = True
         if i > 0 and i < len(maps):
-            comp_ok = _composite_vanishes(ring, f_in, g_out, nxt)
+            comp = g_out.mul(f_in)
+            comp_ok = maps_equal_mod(
+                nxt, comp, Matrix.zeros(ring, comp.nrows, comp.ncols)
+            )
 
         # ker(g_out) as a sublattice of the generator module: x with
         # g_out(x) in the relation span of the next module.

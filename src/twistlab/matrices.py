@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapacityError, TwistlabError
+from .errors import CapacityError, RingMismatchError, TwistlabError
 from .rings import Ring, Z
 
 # Size bound for diagonalization; desk-scale inputs stay far below it.
@@ -89,9 +89,12 @@ class Matrix:
     def col(self, j):
         return [row[j] for row in self.rows]
 
-    def mul(self, other: "Matrix") -> "Matrix":
+    def _require_ring(self, other, op):
         if self.ring != other.ring:
-            raise TwistlabError("ring mismatch in matrix product")
+            raise RingMismatchError(f"ring mismatch in matrix {op}: {self.ring} vs {other.ring}")
+
+    def mul(self, other: "Matrix") -> "Matrix":
+        self._require_ring(other, "product")
         if self.ncols != other.nrows:
             raise TwistlabError(
                 f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}"
@@ -126,14 +129,21 @@ class Matrix:
         return out
 
     def add(self, other):
+        self._require_ring(other, "sum")
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise TwistlabError(
+                f"shape mismatch {self.nrows}x{self.ncols} + {other.nrows}x{other.ncols}"
+            )
         rg = self.ring
-        return Matrix(
+        m = Matrix(
             rg,
             [
                 [rg.add(a, b) for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.rows, other.rows)
             ],
         )
+        m.ncols = self.ncols
+        return m
 
     def neg(self):
         rg = self.ring
@@ -156,6 +166,7 @@ class Matrix:
         return Matrix(self.ring, [list(c) for c in zip(*self.rows)])
 
     def hstack(self, other):
+        self._require_ring(other, "hstack")
         if self.nrows != other.nrows:
             raise TwistlabError("hstack row mismatch")
         m = Matrix(self.ring, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)])

@@ -153,22 +153,19 @@ def cochain_complex(K: DeltaComplex, G: LocalSystem) -> TwistedComplex:
 
 
 def _require_base(K, G):
-    if G.base is not K and G.base.name != K.name:
+    if not G.base.same_complex(K):
         raise ValidationError(
             f"system {G.name!r} lives on {G.base.name!r}, not {K.name!r}"
         )
 
 
-def relative_complexes(P: SubcomplexPair, G: LocalSystem):
-    """(chain, cochain) complexes of the pair, free on the non-member simplices."""
+def relative_complex(P: SubcomplexPair, G: LocalSystem, direction: str) -> TwistedComplex:
+    """The chain or cochain complex of the pair, free on the non-member simplices."""
     _require_base(P.complex, G)
     members = P.member_set()
     keep = frozenset(nm for nm in P.complex.all_simplices() if nm not in members)
-    label = f"({P.complex.name},L)"
-    return (
-        TwistedComplex(f"C{label}", P.complex, G, "chain", keep),
-        TwistedComplex(f"C^{label}", P.complex, G, "cochain", keep),
-    )
+    prefix = "C" if direction == "chain" else "C^"
+    return TwistedComplex(f"{prefix}({P.complex.name},L)", P.complex, G, direction, keep)
 
 
 def _sub_complex(P: SubcomplexPair, G: LocalSystem, direction: str) -> TwistedComplex:
@@ -206,20 +203,7 @@ def induced_chain_map(f: SimplicialMap, G: LocalSystem):
 
     csrc = cochain_complex(f.codomain, G)
     ctgt = cochain_complex(f.domain, Gp)
-    cochain_mats = {}
-    for k in range(f.domain.dimension + 1):
-        mat = Matrix.zeros(ring, ctgt.rank(k), csrc.rank(k))
-        src_idx = {nm: i for i, nm in enumerate(csrc.basis_names(k))}
-        for ri, nm in enumerate(ctgt.basis_names(k)):
-            a = f.assignments[nm]
-            if a.degenerate:
-                continue
-            cj = src_idx[a.image]
-            for t in range(d):
-                mat.rows[ri * d + t][cj * d + t] = ring.add(
-                    mat.rows[ri * d + t][cj * d + t], ring.one()
-                )
-        cochain_mats[k] = mat
+    cochain_mats = {k: m.transpose() for k, m in chain_mats.items()}
     cochains = ChainMapData(f"{f.name}^#", csrc, ctgt, cochain_mats, 1)
     return chains, cochains
 
@@ -263,13 +247,6 @@ class LesFragment:
         )
 
 
-def _scatter(ring, vec, positions, total):
-    out = [ring.zero()] * total
-    for v, p in zip(vec, positions):
-        out[p] = v
-    return out
-
-
 def _les_parts(P: SubcomplexPair, G: LocalSystem, variant: str, cellular: bool):
     direction = "chain" if variant == "homology" else "cochain"
     K = P.complex
@@ -277,7 +254,7 @@ def _les_parts(P: SubcomplexPair, G: LocalSystem, variant: str, cellular: bool):
     fullC = (
         TwistedComplex(f"C({K.name})", K, G, direction, None)
     )
-    relC = relative_complexes(P, G)[0 if variant == "homology" else 1]
+    relC = relative_complex(P, G, direction)
     if cellular:
         subC = cellular_from(subC)
         fullC = cellular_from(fullC)
@@ -311,8 +288,8 @@ def cellular_via_phi(P: SubcomplexPair, G: LocalSystem, variant: str) -> Twisted
     """Cellular complex of the pair: bases indexed by non-member simplices,
     differential the conjugate of the simplicial one under the degreewise
     identification (which is basis-preserving, so the matrices coincide)."""
-    rel = relative_complexes(P, G)[0 if variant == "homology" else 1]
-    return cellular_from(rel)
+    direction = "chain" if variant == "homology" else "cochain"
+    return cellular_from(relative_complex(P, G, direction))
 
 
 def _inclusion_map(subC, fullC, sub_pos, label) -> ChainMapData:
@@ -337,42 +314,17 @@ def _projection_map(fullC, relC, rel_pos, label) -> ChainMapData:
     return ChainMapData(label, fullC, relC, mats, 1)
 
 
-def _connecting_homology(subC, fullC, relC, sub_pos, rel_pos, k) -> Matrix:
-    """Snake-lemma connecting map H_k(rel) -> H_{k-1}(sub) via coordinate lift."""
-    ring = fullC.ring
-    pres = relC.homology(k)
-    tgt = subC.homology(k - 1)
-    out = Matrix.zeros(ring, tgt.generators, pres.generators)
-    for j in range(pres.generators):
-        rep = pres.representatives.col(j)
-        lifted = _scatter(ring, rep, rel_pos[k], fullC.rank(k))
-        img = fullC.diff(k).mul_vec(lifted)
-        for p in rel_pos[k - 1]:
-            if not ring.is_zero(img[p]):
-                raise TwistlabError("connecting image is not supported on the subcomplex")
-        subvec = [img[p] for p in sub_pos[k - 1]]
-        for i, c in enumerate(subC.class_coordinates(k - 1, subvec)):
-            out.rows[i][j] = c
-    return out
-
-
-def _connecting_cohomology(subC, fullC, relC, sub_pos, rel_pos, k) -> Matrix:
-    """Connecting map H^k(sub) -> H^{k+1}(rel) via zero extension."""
-    ring = fullC.ring
-    pres = subC.homology(k)
-    tgt = relC.homology(k + 1)
-    out = Matrix.zeros(ring, tgt.generators, pres.generators)
-    for j in range(pres.generators):
-        rep = pres.representatives.col(j)
-        extended = _scatter(ring, rep, sub_pos[k], fullC.rank(k))
-        img = fullC.diff(k).mul_vec(extended)
-        for p in sub_pos[k + 1]:
-            if not ring.is_zero(img[p]):
-                raise TwistlabError("connecting image does not vanish on the subcomplex")
-        relvec = [img[p] for p in rel_pos[k + 1]]
-        for i, c in enumerate(relC.class_coordinates(k + 1, relvec)):
-            out.rows[i][j] = c
-    return out
+def _connecting_map(fullC, source, target, src_pos, tgt_pos, k) -> Matrix:
+    """Snake-lemma connecting map from H_k(source) to the homology of target
+    one step along the differential: extend each representative by zero into
+    fullC, apply its differential, and read the image on target's coordinates.
+    """
+    j = fullC._target_degree(k)
+    reps = source.homology(k).representatives
+    img = fullC.diff(k).select_cols(src_pos[k]).mul(reps)
+    if not img.select_rows(src_pos[j]).is_zero():
+        raise TwistlabError("connecting image does not lie in the target complex")
+    return target.class_coordinates(j, img.select_rows(tgt_pos[j]))
 
 
 def assemble_les(P: SubcomplexPair, G: LocalSystem, variant: str = "homology",
@@ -401,9 +353,7 @@ def assemble_les(P: SubcomplexPair, G: LocalSystem, variant: str = "homology",
             maps.append(induced_map_on_homology(proj, k))
             labels.append(f"j_{k}")
             if k > 0:
-                maps.append(
-                    _connecting_homology(subC, fullC, relC, sub_pos, rel_pos, k)
-                )
+                maps.append(_connecting_map(fullC, relC, subC, rel_pos, sub_pos, k))
                 labels.append(f"d_{k}")
     else:
         # cochain SES: 0 -> C^*(K,L) -> C^*(K) -> C^*(L) -> 0
@@ -418,9 +368,7 @@ def assemble_les(P: SubcomplexPair, G: LocalSystem, variant: str = "homology",
             maps.append(induced_map_on_homology(restr, k))
             labels.append(f"r^{k}")
             if k < top:
-                maps.append(
-                    _connecting_cohomology(subC, fullC, relC, sub_pos, rel_pos, k)
-                )
+                maps.append(_connecting_map(fullC, subC, relC, sub_pos, rel_pos, k))
                 labels.append(f"d^{k}")
     return LesFragment(
         variant,
@@ -450,42 +398,22 @@ def cellular_boundary_via_triple(K: DeltaComplex, G: LocalSystem, n: int) -> Mat
     lower = [nm for k in range(n) for nm in Kn.simplices(k)]
     pair_n = subcomplex(Kn, lower)
     subC, fullC, relC, sub_pos, rel_pos = _les_parts(pair_n, Gn, "homology", False)
-    conn = _connecting_homology(subC, fullC, relC, sub_pos, rel_pos, n)
+    conn = _connecting_map(fullC, relC, subC, rel_pos, sub_pos, n)
 
     # psi: canonical basis of the relative skeleton group at degree n.
-    ring = G.ring
-    rel_pres = relC.homology(n)
-    amb_n = relC.rank(n)
-    psi = Matrix.zeros(ring, rel_pres.generators, amb_n)
-    for j in range(amb_n):
-        e = [ring.zero()] * amb_n
-        e[j] = ring.one()
-        for i, c in enumerate(relC.class_coordinates(n, e)):
-            psi.rows[i][j] = c
+    psi = relC.class_coordinates(n, Matrix.identity(G.ring, relC.rank(n)))
 
-    # quotient map C(K^{n-1}) -> C(K^{n-1}, K^{n-2}) and its induced map.
-    Kn1 = subcomplex_as_complex(skeleton_pair(K, n - 1), f"{K.name}@{n - 1}")
-    Gn1 = restrict_system(G, Kn1)
-    lower1 = [nm for k in range(n - 1) for nm in Kn1.simplices(k)]
-    pair_n1 = subcomplex(Kn1, lower1)
-    relC1 = relative_complexes(pair_n1, Gn1)[0]
-    full_n1 = chain_complex(Kn1, Gn1)
-    qmats = {}
-    for k in range(Kn1.dimension + 1):
-        m = Matrix.zeros(ring, relC1.rank(k), full_n1.rank(k))
-        pos = full_n1.positions_of(k, relC1.basis_names(k))
-        for i, p in enumerate(pos):
-            m.rows[i][p] = ring.one()
-        qmats[k] = m
-    q = ChainMapData("quot", full_n1, relC1, qmats, 1)
-
-    # subC (the (n-1)-skeleton inside K^n) and full_n1 share their bases.
-    bridge = identity_comparison(subC, full_n1, "skel")
-    bridge_ind = induced_map_on_homology(bridge, n - 1)
-    q_ind = induced_map_on_homology(q, n - 1)
+    # quotient map C(K^{n-1}) -> C(K^{n-1}, K^{n-2}); the latter is free on the
+    # (n-1)-cells with zero differential, kept here inside K^n.
+    relC1 = TwistedComplex(
+        f"C({K.name}@{n - 1},{K.name}@{n - 2})", Kn, Gn, "chain",
+        frozenset(Kn.simplices(n - 1)),
+    )
+    pos = {k: subC.positions_of(k, relC1.basis_names(k)) for k in subC.degree_span()}
+    q_ind = induced_map_on_homology(_projection_map(subC, relC1, pos, "quot"), n - 1)
 
     phi = relC1.homology(n - 1).representatives  # ambient == canonical basis
-    composite = phi.mul(q_ind).mul(bridge_ind).mul(conn).mul(psi)
+    composite = phi.mul(q_ind).mul(conn).mul(psi)
     if CELLULAR_TRIPLE_SIGN == -1:
         composite = composite.neg()
     return composite

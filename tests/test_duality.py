@@ -6,6 +6,7 @@ from twistlab.errors import ValidationError
 
 from conftest import (
     MANIFOLDS,
+    fixture_text,
     load_complex,
     load_system,
     random_flat_system,
@@ -63,6 +64,17 @@ def test_cap_rank_zero_gives_zero():
     H = tl.constant_system(K, 1, tl.Z)
     out = tl.cap_product(K, G0, H, 1, [], 1, [1])
     assert out == []
+
+
+def test_system_on_a_different_complex_of_the_same_name_is_rejected():
+    G = load_system("minus1.sys", load_complex("circle1"))
+    impostor = tl.parse_complex(
+        fixture_text("circle3.cx").replace("complex circle3", "complex circle1")
+    )
+    with pytest.raises(ValidationError):
+        tl.chain_complex(impostor, G)
+    with pytest.raises(ValidationError):
+        tl.cap_product(impostor, G, G, 0, [1, 1, 1], 1, [1, 1, 1])
 
 
 def _random_vec(ring, n, rng):

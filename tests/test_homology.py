@@ -14,7 +14,7 @@ from twistlab.homology import (
 )
 from twistlab.matrices import Matrix
 
-from conftest import load_complex, load_system
+from conftest import ALL_COMPLEXES, load_complex, load_system, random_flat_system
 
 
 def M(rows, ring=tl.Z):
@@ -55,14 +55,35 @@ def test_presentation_divisibility_and_reps():
     # representative classes have the stated orders
     for j, d in enumerate(h.relation_orders()):
         rep = h.representatives.col(j)
-        coords = C.class_coordinates(0, rep)
+        coords = C.class_coordinates(0, Matrix.column(tl.Z, rep)).col(0)
         assert coords[j] == (1 if d == 0 else 1)
 
 
 def test_class_coordinates_of_boundary_vanish():
     C = FreeComplex("t", tl.Z, "chain", {0: 2, 1: 1}, {1: M([[2], [-2]])})
-    coords = C.class_coordinates(0, [2, -2])
+    coords = C.class_coordinates(0, Matrix.column(tl.Z, [2, -2])).col(0)
     assert all(c == 0 for c in coords)
+
+
+@pytest.mark.parametrize("name", ALL_COMPLEXES)
+def test_class_coordinates_of_representatives_are_the_identity(name, rng):
+    K = load_complex(name)
+    for ring in (tl.Z, tl.Q, tl.prime_field(5)):
+        for G in (tl.constant_system(K, 2, ring), random_flat_system(name, 2, ring, rng)):
+            for C in (tl.chain_complex(K, G), tl.cochain_complex(K, G)):
+                for k in range(K.dimension + 1):
+                    h = C.homology(k)
+                    coords = C.class_coordinates(k, h.representatives)
+                    assert coords == Matrix.identity(ring, h.generators), (name, k)
+
+
+def test_class_coordinates_reject_a_batch_with_a_non_cycle():
+    K = load_complex("circle3")
+    C = tl.chain_complex(K, tl.constant_system(K, 1, tl.Z))
+    edge_a = Matrix.column(tl.Z, [1, 0, 0])
+    batch = C.homology(1).representatives.hstack(edge_a)
+    with pytest.raises(TwistlabError, match="not a cycle"):
+        C.class_coordinates(1, batch)
 
 
 def test_field_homology_has_no_torsion():

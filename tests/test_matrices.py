@@ -111,6 +111,29 @@ def test_empty_shapes():
     assert smith_normal_form(A).rank == 0
 
 
+def test_add_and_sub_reject_mismatched_shapes():
+    A = M([[1, 2], [3, 4]])
+    for B in (M([[1, 2, 3], [4, 5, 6]]), M([[1, 2]]), Matrix.zeros(Z, 0, 2)):
+        with pytest.raises(TwistlabError):
+            A.add(B)
+        with pytest.raises(TwistlabError):
+            A.sub(B)
+
+
+def test_add_sub_and_hstack_reject_mismatched_rings():
+    A = M([[1, 2], [3, 4]])
+    B = M([[1, 0], [0, 1]], Q)
+    for op in ("add", "sub", "hstack"):
+        with pytest.raises(TwistlabError):
+            getattr(A, op)(B)
+
+
+def test_add_keeps_columns_of_empty_matrices():
+    A = Matrix.zeros(Z, 0, 3)
+    assert A.add(A).ncols == 3
+    assert A.sub(A) == A
+
+
 def test_capacity_bound():
     big = Matrix.zeros(Z, 1, 20001)
     with pytest.raises(TwistlabError):

@@ -61,13 +61,14 @@ def test_relative_ranks():
     D = load_complex("disk")
     P = load_subcomplex("disk_boundary.sub", D)
     G = tl.constant_system(D, 1, tl.Z)
-    chain, cochain = tl.relative_complexes(P, G)
+    chain = tl.relative_complex(P, G, "chain")
+    cochain = tl.relative_complex(P, G, "cochain")
     assert [chain.rank(k) for k in range(3)] == [0, 0, 1]
     assert [cochain.rank(k) for k in range(3)] == [0, 0, 1]
 
     T = load_complex("torus")
     PT = tl.subcomplex(T, ["a"])
-    chain_t, _ = tl.relative_complexes(PT, tl.constant_system(T, 1, tl.Z))
+    chain_t = tl.relative_complex(PT, tl.constant_system(T, 1, tl.Z), "chain")
     assert [chain_t.rank(k) for k in range(3)] == [0, 2, 2]
 
 
@@ -75,7 +76,7 @@ def test_relative_equals_absolute_for_empty_sub():
     K = load_complex("torus")
     G = load_system("torus_ab.sys", K)
     P = tl.subcomplex(K, [])
-    chain, cochain = tl.relative_complexes(P, G)
+    chain = tl.relative_complex(P, G, "chain")
     full = tl.chain_complex(K, G)
     for k in range(3):
         assert chain.diff(k) == full.diff(k)
@@ -202,7 +203,7 @@ def test_cellular_via_phi_matches_relative():
     P = load_subcomplex("disk_boundary.sub", D)
     G = tl.constant_system(D, 1, tl.Z)
     gamma = tl.cellular_via_phi(P, G, "homology")
-    rel, _ = tl.relative_complexes(P, G)
+    rel = tl.relative_complex(P, G, "chain")
     assert gamma.tag == "cellular"
     for k in range(3):
         assert gamma.rank(k) == rel.rank(k)
