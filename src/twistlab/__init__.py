@@ -53,7 +53,6 @@ from .twisted import (
     TwistedComplex,
     assemble_les,
     cellular_boundary_via_triple,
-    cellular_via_phi,
     chain_complex,
     cochain_complex,
     compare_les,

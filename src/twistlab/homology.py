@@ -6,7 +6,7 @@ generator (torsion generators first, then free ones).  Over Q or F_p the same
 code path degenerates to ranks.  Induced maps, mapping cones, and exactness
 checking of assembled sequences all run through these presentations.  Class
 coordinates are computed a matrix at a time: one call reads the classes of all
-columns of a cycle matrix from a single solve against the cycle basis.
+columns of a cycle matrix from one solve with the kept SNF of the cycle basis.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import TwistlabError
 from .matrices import (
+    SNF,
     Matrix,
     block_matrix,
     image_basis,
@@ -99,7 +100,7 @@ class FreeComplex:
         _, ctx = self.homology_ctx(k)
         if not self.diff(k).mul(cycles).is_zero():
             raise TwistlabError(f"{self.label}: a column at degree {k} is not a cycle")
-        zeta = solve(ctx.cycles, cycles)
+        zeta = ctx.cycles_snf.solve(cycles)
         if zeta is None:
             raise TwistlabError(f"{self.label}: a column at degree {k} is not in the cycle module")
         gamma = ctx.uprime.mul(zeta).select_rows(ctx.kept)
@@ -188,7 +189,7 @@ def torsion_presentation(ring: Ring, invariants, rank: int = 0) -> ModulePresent
 
 @dataclass
 class _QuotientContext:
-    cycles: Matrix           # ambient x z, basis of the cycle module
+    cycles_snf: SNF          # of the ambient x z basis of the cycle module
     uprime: Matrix           # z x z, row transform of the boundary-coordinate SNF
     orders: list             # padded diagonal: d_i (1 = killed, 0 = free)
     kept: list[int]          # generator indices surviving (d_i != 1)
@@ -197,10 +198,11 @@ class _QuotientContext:
 def presentation_of_quotient(ring: Ring, cycles: Matrix, boundaries: Matrix):
     """Present span(cycles) / span(boundaries); boundaries must lie in the span."""
     z = cycles.ncols
+    cycles_snf = smith_normal_form(cycles)
     if z == 0:
         pres = zero_presentation(ring, cycles.nrows)
-        return pres, _QuotientContext(cycles, Matrix.identity(ring, 0), [], [])
-    Y = solve(cycles, boundaries)
+        return pres, _QuotientContext(cycles_snf, Matrix.identity(ring, 0), [], [])
+    Y = cycles_snf.solve(boundaries)
     if Y is None:
         raise TwistlabError("boundaries do not lie in the cycle module")
     snf = smith_normal_form(Y)
@@ -224,7 +226,7 @@ def presentation_of_quotient(ring: Ring, cycles: Matrix, boundaries: Matrix):
         if (ring.is_zero(orders[i]) if ring.is_field else orders[i] == 0)
     )
     pres = ModulePresentation(ring, rank, invariants, cycles.nrows, reps)
-    return pres, _QuotientContext(cycles, snf.U, orders, kept)
+    return pres, _QuotientContext(cycles_snf, snf.U, orders, kept)
 
 
 # -- chain maps -------------------------------------------------------

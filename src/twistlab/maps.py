@@ -106,7 +106,7 @@ def identity_map(K: DeltaComplex) -> SimplicialMap:
 
 def compose(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
     """g after f."""
-    if f.codomain is not g.domain and f.codomain.name != g.domain.name:
+    if not f.codomain.same_complex(g.domain):
         raise ValidationError("composition domain/codomain mismatch")
     assignments = {}
     for nm in f.domain.all_simplices():

@@ -234,6 +234,29 @@ class SNF:
             self.D.rows[i][i] for i in range(min(self.D.nrows, self.D.ncols))
         ]
 
+    def solve(self, B: Matrix):
+        """Exact X with A X = B for the diagonalized A, or None if there is none."""
+        rg = self.D.ring
+        C = self.U.mul(B)
+        diag = self.diagonal
+        Y = Matrix.zeros(rg, self.D.ncols, B.ncols)
+        for i in range(self.D.nrows):
+            d = diag[i] if i < len(diag) else rg.zero()
+            for j in range(B.ncols):
+                c = C.rows[i][j]
+                if rg.is_zero(d):
+                    if not rg.is_zero(c):
+                        return None
+                else:
+                    if rg.is_field:
+                        Y.rows[i][j] = rg.exact_div(c, d)
+                    else:
+                        q, r = divmod(c, d)
+                        if r != 0:
+                            return None
+                        Y.rows[i][j] = q
+        return self.V.mul(Y)
+
 
 def _find_pivot_z(rows, t, m, n):
     best = None
@@ -415,27 +438,7 @@ def solve(A: Matrix, B: Matrix):
     """Exact X with A X = B, or None when no solution exists in the ring."""
     if A.nrows != B.nrows:
         raise TwistlabError("solve shape mismatch")
-    rg = A.ring
-    snf = smith_normal_form(A)
-    C = snf.U.mul(B)
-    diag = snf.diagonal
-    Y = Matrix.zeros(rg, A.ncols, B.ncols)
-    for i in range(A.nrows):
-        d = diag[i] if i < len(diag) else rg.zero()
-        for j in range(B.ncols):
-            c = C.rows[i][j]
-            if rg.is_zero(d):
-                if not rg.is_zero(c):
-                    return None
-            else:
-                if rg.is_field:
-                    Y.rows[i][j] = rg.exact_div(c, d)
-                else:
-                    q, r = divmod(c, d)
-                    if r != 0:
-                        return None
-                    Y.rows[i][j] = q
-    return snf.V.mul(Y)
+    return smith_normal_form(A).solve(B)
 
 
 def inverse(A: Matrix) -> Matrix:

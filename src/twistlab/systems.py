@@ -153,7 +153,7 @@ def _parse_matrix(text: str, ring: Ring, rank: int, lineno: int) -> Matrix:
 
 def pullback_system(f: SimplicialMap, G: LocalSystem) -> LocalSystem:
     """Pull a system on the codomain of f back to its domain."""
-    if G.base is not f.codomain and G.base.name != f.codomain.name:
+    if not G.base.same_complex(f.codomain):
         raise RingMismatchError(
             f"system {G.name!r} lives on {G.base.name!r}, not on the codomain of {f.name!r}"
         )
@@ -166,7 +166,7 @@ def pullback_system(f: SimplicialMap, G: LocalSystem) -> LocalSystem:
 
 
 def tensor_systems(G: LocalSystem, H: LocalSystem) -> LocalSystem:
-    if G.base is not H.base and G.base.name != H.base.name:
+    if not G.base.same_complex(H.base):
         raise RingMismatchError("tensor of systems over different bases")
     if G.ring != H.ring:
         raise RingMismatchError("tensor of systems over different rings")

@@ -6,6 +6,7 @@ from twistlab.errors import ParseError, RingMismatchError, ValidationError
 from conftest import (
     MANIFOLDS,
     ORIENTABLE,
+    fixture_text,
     load_complex,
     load_system,
     random_flat_system,
@@ -213,6 +214,34 @@ def test_pullback_base_mismatch():
     wrong = tl.constant_system(C3, 1, tl.Z)
     with pytest.raises(RingMismatchError):
         tl.pullback_system(f, wrong)
+
+
+def _minus1_and_impostor():
+    # minus1.sys lives on circle1; circle3 renamed circle1 has edges a, b, c.
+    impostor = tl.parse_complex(
+        fixture_text("circle3.cx").replace("complex circle3", "complex circle1")
+    )
+    return load_system("minus1.sys", load_complex("circle1")), impostor
+
+
+def test_tensor_base_of_the_same_name_is_rejected():
+    G, impostor = _minus1_and_impostor()
+    with pytest.raises(RingMismatchError):
+        tl.tensor_systems(tl.constant_system(impostor, 1, tl.Z), G)
+
+
+def test_pullback_base_of_the_same_name_is_rejected():
+    G, impostor = _minus1_and_impostor()
+    with pytest.raises(RingMismatchError):
+        tl.pullback_system(tl.identity_map(impostor), G)
+
+
+def test_compose_through_a_complex_of_the_same_name_is_rejected():
+    from twistlab.maps import compose
+
+    G, impostor = _minus1_and_impostor()
+    with pytest.raises(ValidationError):
+        compose(tl.identity_map(G.base), tl.identity_map(impostor))
 
 
 def test_tensor_of_flat_is_flat_and_rank_multiplies(rng):

@@ -1,6 +1,7 @@
 import pytest
 
 import twistlab as tl
+from twistlab.cli import run_cli
 from twistlab.errors import ValidationError
 from twistlab.matrices import Matrix
 
@@ -198,18 +199,6 @@ def test_les_exactness_grid(rng):
                 assert frag.exactness().all_exact, (cname, G.name, variant)
 
 
-def test_cellular_via_phi_matches_relative():
-    D = load_complex("disk")
-    P = load_subcomplex("disk_boundary.sub", D)
-    G = tl.constant_system(D, 1, tl.Z)
-    gamma = tl.cellular_via_phi(P, G, "homology")
-    rel = tl.relative_complex(P, G, "chain")
-    assert gamma.tag == "cellular"
-    for k in range(3):
-        assert gamma.rank(k) == rel.rank(k)
-        assert gamma.diff(k) == rel.diff(k)
-
-
 def test_cellular_boundary_triple_calibration():
     # the calibration instance: circle with holonomy -1 must give (-2)
     K = load_complex("circle1")
@@ -220,10 +209,10 @@ def test_cellular_boundary_triple_calibration():
 def test_cellular_boundary_triple_all_fixtures(rng):
     for name in ["circle3", "sphere2", "torus", "klein", "rp2", "rp3"]:
         K = load_complex(name)
-        for G in [
-            tl.constant_system(K, 1, tl.Z),
-            random_flat_system(name, 2, tl.Z, rng),
-        ]:
+        systems = [tl.constant_system(K, 1, tl.Z), random_flat_system(name, 2, tl.Z, rng)]
+        if name == "torus":
+            systems.append(load_system("torus_ab.sys", K))
+        for G in systems:
             C = tl.chain_complex(K, G)
             for n in range(1, K.dimension + 1):
                 assert tl.cellular_boundary_via_triple(K, G, n) == C.diff(n), (name, n)
@@ -241,6 +230,26 @@ def test_compare_les_absolute_degenerates():
     P = tl.subcomplex(K, [])
     rep = tl.compare_les(P, tl.constant_system(K, 1, tl.Z), "homology")
     assert rep.ok
+
+
+def test_compare_les_fails_when_the_triple_sign_is_wrong(monkeypatch):
+    # The squares and cellular exactness rest on the triple check, so a wrong
+    # calibration must fail all of them, not just the triples.
+    from twistlab import twisted
+
+    monkeypatch.setattr(twisted, "CELLULAR_TRIPLE_SIGN", -1)
+    D = load_complex("disk")
+    P = load_subcomplex("disk_boundary.sub", D)
+    rep = tl.compare_les(P, tl.constant_system(D, 1, tl.Z), "homology")
+    assert rep.triples and not any(t.ok for t in rep.triples)
+    assert rep.squares and not any(s.ok for s in rep.squares)
+    assert rep.simplicial_exactness.all_exact
+    assert not rep.cellular_exact and not rep.ok
+    status, text = run_cli(["les", "fixtures/disk.cx", "--sub", "fixtures/disk_boundary.sub"])
+    assert status == 1
+    lines = text.splitlines()
+    for verdict in ("CELLULAR EXACTNESS FAIL", "SQUARES FAIL", "LES FAIL"):
+        assert verdict in lines
 
 
 def test_compare_les_klein_orientation_pair():
@@ -305,11 +314,3 @@ def test_identity_map_induces_identity_matrices():
         h = tl.induced_map_on_homology(chains, k)
         n = chains.source.homology(k).generators
         assert h == Matrix.identity(tl.Z, n)
-
-
-def test_cellular_via_phi_torus_absolute():
-    K = load_complex("torus")
-    G = load_system("torus_ab.sys", K)
-    P = tl.subcomplex(K, [])
-    gamma = tl.cellular_via_phi(P, G, "homology")
-    assert gamma.diff(2) == tl.chain_complex(K, G).diff(2)
