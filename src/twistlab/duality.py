@@ -130,6 +130,11 @@ def cap_product(K: DeltaComplex, G: LocalSystem, H: LocalSystem, k: int,
     dG, dH = G.rank, H.rank
     k_simplices = K.simplices(k)
     m_simplices = K.simplices(m)
+    if len(cochain) != len(k_simplices) * dG or len(chain) != len(m_simplices) * dH:
+        raise TwistlabError(
+            f"cap product needs a cochain of length {len(k_simplices) * dG} and a "
+            f"chain of length {len(m_simplices) * dH}, not {len(cochain)} and {len(chain)}"
+        )
     out_simplices = K.simplices(m - k)
     out_idx = {nm: i for i, nm in enumerate(out_simplices)}
     k_idx = {nm: i for i, nm in enumerate(k_simplices)}

@@ -4,9 +4,12 @@ Over Z a homology group is presented by Smith normal form: a free rank, a
 divisibility chain of invariant factors, and one representative cycle per
 generator (torsion generators first, then free ones).  Over Q or F_p the same
 code path degenerates to ranks.  Induced maps, mapping cones, and exactness
-checking of assembled sequences all run through these presentations.  Class
-coordinates are computed a matrix at a time: one call reads the classes of all
-columns of a cycle matrix from one solve with the kept SNF of the cycle basis.
+checking of assembled sequences all run through these presentations.  Each
+degree runs two SNFs: one of its differential, whose V holds the cycle basis
+and whose V^-1 gives cycle coordinates, and one of the boundaries' cycle
+coordinates, whose U^-1 gives the generators.  Class coordinates are computed
+a matrix at a time: the classes of all columns of a cycle matrix are read
+from one product with the kept V^-1.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .matrices import (
     Matrix,
     block_matrix,
     image_basis,
-    inverse,
     kernel_basis,
     smith_normal_form,
     solve,
@@ -83,12 +85,11 @@ class FreeComplex:
 
     def homology_ctx(self, k: int):
         if k not in self._homology:
-            cycles = kernel_basis(self.diff(k))
             if self.direction == "chain":
                 bd = self.diff(k + 1)
             else:
                 bd = self.diff(k - 1)
-            self._homology[k] = presentation_of_quotient(self.ring, cycles, bd)
+            self._homology[k] = presentation_of_quotient(smith_normal_form(self.diff(k)), bd)
         return self._homology[k]
 
     def homology(self, k: int) -> "ModulePresentation":
@@ -100,10 +101,11 @@ class FreeComplex:
         _, ctx = self.homology_ctx(k)
         if not self.diff(k).mul(cycles).is_zero():
             raise TwistlabError(f"{self.label}: a column at degree {k} is not a cycle")
-        zeta = ctx.cycles_snf.solve(cycles)
-        if zeta is None:
+        coords = ctx.vinv.mul(cycles)
+        if not coords.select_rows(range(ctx.r)).is_zero():
             raise TwistlabError(f"{self.label}: a column at degree {k} is not in the cycle module")
-        gamma = ctx.uprime.mul(zeta).select_rows(ctx.kept)
+        zeta = coords.select_rows(range(ctx.r, coords.nrows))
+        gamma = ctx.uprime.select_rows(ctx.kept).mul(zeta)
         if not self.ring.is_field:
             for row, i in zip(gamma.rows, ctx.kept):
                 d = ctx.orders[i]
@@ -189,23 +191,30 @@ def torsion_presentation(ring: Ring, invariants, rank: int = 0) -> ModulePresent
 
 @dataclass
 class _QuotientContext:
-    cycles_snf: SNF          # of the ambient x z basis of the cycle module
+    vinv: Matrix             # ambient x ambient, V^-1 of the differential's SNF
+    r: int                   # its rank; rows r: of vinv are cycle coordinates
     uprime: Matrix           # z x z, row transform of the boundary-coordinate SNF
     orders: list             # padded diagonal: d_i (1 = killed, 0 = free)
     kept: list[int]          # generator indices surviving (d_i != 1)
 
 
-def presentation_of_quotient(ring: Ring, cycles: Matrix, boundaries: Matrix):
-    """Present span(cycles) / span(boundaries); boundaries must lie in the span."""
+def presentation_of_quotient(diff_snf: SNF, boundaries: Matrix):
+    """Present ker(A) / span(boundaries) from the SNF U A V = D, of rank r, of
+    a differential A.  The cycles are V[:, r:], the boundaries' coordinates Y
+    in them are rows r: of V^-1 . boundaries (rows :r must vanish), and the
+    generators are the cycles times U'^-1 from the SNF of Y."""
+    ring = diff_snf.D.ring
+    r = diff_snf.rank
+    ambient = diff_snf.V.nrows
+    cycles = diff_snf.V.select_cols(range(r, ambient))
     z = cycles.ncols
-    cycles_snf = smith_normal_form(cycles)
     if z == 0:
-        pres = zero_presentation(ring, cycles.nrows)
-        return pres, _QuotientContext(cycles_snf, Matrix.identity(ring, 0), [], [])
-    Y = cycles_snf.solve(boundaries)
-    if Y is None:
+        pres = zero_presentation(ring, ambient)
+        return pres, _QuotientContext(diff_snf.Vinv, r, Matrix.identity(ring, 0), [], [])
+    coords = diff_snf.Vinv.mul(boundaries)
+    if not coords.select_rows(range(r)).is_zero():
         raise TwistlabError("boundaries do not lie in the cycle module")
-    snf = smith_normal_form(Y)
+    snf = smith_normal_form(coords.select_rows(range(r, ambient)))
     orders = []
     for i in range(z):
         if i < snf.rank:
@@ -219,14 +228,14 @@ def presentation_of_quotient(ring: Ring, cycles: Matrix, boundaries: Matrix):
     else:
         kept = [i for i in range(z) if orders[i] != 1]
         invariants = tuple(orders[i] for i in kept if orders[i] >= 2)
-    gens = cycles.mul(inverse(snf.U))
+    gens = cycles.mul(snf.Uinv)
     reps = gens.select_cols(kept)
     rank = sum(
         1 for i in kept
         if (ring.is_zero(orders[i]) if ring.is_field else orders[i] == 0)
     )
-    pres = ModulePresentation(ring, rank, invariants, cycles.nrows, reps)
-    return pres, _QuotientContext(cycles_snf, snf.U, orders, kept)
+    pres = ModulePresentation(ring, rank, invariants, ambient, reps)
+    return pres, _QuotientContext(diff_snf.Vinv, r, snf.U, orders, kept)
 
 
 # -- chain maps -------------------------------------------------------

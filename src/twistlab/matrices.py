@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from .errors import CapacityError, RingMismatchError, TwistlabError
 from .rings import Ring, Z
 
-# Size bound for diagonalization; desk-scale inputs stay far below it.
-MAX_SNF_DIM = 20000
+# Bound on the entries an m x n SNF holds: D plus U, U^-1, V and V^-1.  5e7
+# list slots are about 400 MB of pointers; desk-scale inputs stay far below it.
+MAX_SNF_ENTRIES = 5 * 10**7
 
 
 class Matrix:
@@ -118,6 +119,10 @@ class Matrix:
         return m
 
     def mul_vec(self, vec: list) -> list:
+        if len(vec) != self.ncols:
+            raise TwistlabError(
+                f"shape mismatch {self.nrows}x{self.ncols} * vector of length {len(vec)}"
+            )
         rg = self.ring
         out = []
         for row in self.rows:
@@ -221,11 +226,14 @@ def block_matrix(ring, blocks, row_dims, col_dims):
 
 @dataclass
 class SNF:
-    """U * A * V = D with U, V invertible and D diagonal (divisibility chain over Z)."""
+    """U * A * V = D with U, V invertible and D diagonal (divisibility chain
+    over Z); Uinv and Vinv are the inverses of U and V."""
 
     U: Matrix
     D: Matrix
     V: Matrix
+    Uinv: Matrix
+    Vinv: Matrix
     rank: int
 
     @property
@@ -293,6 +301,16 @@ def _swap_cols(mat, i, j):
             row[i], row[j] = row[j], row[i]
 
 
+def _move_pivot(D, U, Ut, V, Vi, t, pi, pj):
+    """Swap the pivot at (pi, pj) to (t, t) in D, U, Ut = (U^-1)^T, V and
+    Vi = V^-1."""
+    for mat in (D, U, Ut):
+        _swap_rows(mat, t, pi)
+    for mat in (D, V):
+        _swap_cols(mat, t, pj)
+    _swap_rows(Vi, t, pj)
+
+
 def smith_normal_form(A: Matrix) -> SNF:
     """Diagonalize A by invertible row/column operations.
 
@@ -300,48 +318,50 @@ def smith_normal_form(A: Matrix) -> SNF:
     row, then column), quotients use floor division against a positive pivot,
     and the final diagonal satisfies d_1 | d_2 | ... with d_i > 0.  Over fields
     the diagonal is 1,...,1,0,...  Output is deterministic for a fixed input.
+
+    Each row operation on U is the inverse column operation on U^-1, kept
+    transposed so that it is a row operation too; each column operation on V
+    is the inverse row operation on V^-1.
     """
     m, n = A.nrows, A.ncols
-    if max(m, n) > MAX_SNF_DIM:
-        raise CapacityError(f"matrix {m}x{n} exceeds the {MAX_SNF_DIM} bound")
+    if m * n + 2 * m * m + 2 * n * n > MAX_SNF_ENTRIES:
+        raise CapacityError(
+            f"matrix {m}x{n} and its transforms exceed the {MAX_SNF_ENTRIES}-entry bound"
+        )
     rg = A.ring
     D = [row[:] for row in A.rows]
-    U = [row[:] for row in Matrix.identity(rg, m).rows]
-    V = [row[:] for row in Matrix.identity(rg, n).rows]
+    U, Ut = Matrix.identity(rg, m).rows, Matrix.identity(rg, m).rows
+    V, Vi = Matrix.identity(rg, n).rows, Matrix.identity(rg, n).rows
 
     if rg.is_field:
-        rank = _snf_field(D, U, V, m, n, rg)
+        rank = _snf_field(D, U, Ut, V, Vi, m, n, rg)
     else:
-        rank = _snf_int(D, U, V, m, n)
+        rank = _snf_int(D, U, Ut, V, Vi, m, n)
 
-    dU = Matrix(rg, U)
-    dU.ncols = m
     dD = Matrix(rg, D)
     dD.ncols = n
-    dV = Matrix(rg, V)
-    dV.ncols = n
-    return SNF(dU, dD, dV, rank)
+    return SNF(Matrix(rg, U), dD, Matrix(rg, V), Matrix(rg, Ut).transpose(),
+               Matrix(rg, Vi), rank)
 
 
-def _snf_field(D, U, V, m, n, rg):
+def _snf_field(D, U, Ut, V, Vi, m, n, rg):
     t = 0
     while True:
         piv = _find_pivot_field(D, t, m, n, rg)
         if piv is None:
             break
-        pi, pj = piv
-        _swap_rows(D, t, pi)
-        _swap_rows(U, t, pi)
-        _swap_cols(D, t, pj)
-        _swap_cols(V, t, pj)
-        inv = rg.inv(D[t][t])
+        _move_pivot(D, U, Ut, V, Vi, t, *piv)
+        p = D[t][t]
+        inv = rg.inv(p)
         D[t] = [rg.mul(inv, x) for x in D[t]]
         U[t] = [rg.mul(inv, x) for x in U[t]]
+        Ut[t] = [rg.mul(p, x) for x in Ut[t]]
         for i in range(m):
             if i != t and not rg.is_zero(D[i][t]):
                 c = D[i][t]
                 D[i] = [rg.sub(x, rg.mul(c, y)) for x, y in zip(D[i], D[t])]
                 U[i] = [rg.sub(x, rg.mul(c, y)) for x, y in zip(U[i], U[t])]
+                Ut[t] = [rg.add(x, rg.mul(c, y)) for x, y in zip(Ut[t], Ut[i])]
         for j in range(n):
             if j != t and not rg.is_zero(D[t][j]):
                 c = D[t][j]
@@ -349,25 +369,23 @@ def _snf_field(D, U, V, m, n, rg):
                     row[j] = rg.sub(row[j], rg.mul(c, row[t]))
                 for row in V:
                     row[j] = rg.sub(row[j], rg.mul(c, row[t]))
+                Vi[t] = [rg.add(x, rg.mul(c, y)) for x, y in zip(Vi[t], Vi[j])]
         t += 1
     return t
 
 
-def _snf_int(D, U, V, m, n):
+def _snf_int(D, U, Ut, V, Vi, m, n):
     t = 0
     while True:
         piv = _find_pivot_z(D, t, m, n)
         if piv is None:
             break
-        pi, pj = piv
-        _swap_rows(D, t, pi)
-        _swap_rows(U, t, pi)
-        _swap_cols(D, t, pj)
-        _swap_cols(V, t, pj)
+        _move_pivot(D, U, Ut, V, Vi, t, *piv)
         while True:
             if D[t][t] < 0:
                 D[t] = [-x for x in D[t]]
                 U[t] = [-x for x in U[t]]
+                Ut[t] = [-x for x in Ut[t]]
             d = D[t][t]
             dirty = False
             for i in range(t + 1, m):
@@ -377,6 +395,7 @@ def _snf_int(D, U, V, m, n):
                     if q != 0:
                         D[i] = [x - q * y for x, y in zip(D[i], D[t])]
                         U[i] = [x - q * y for x, y in zip(U[i], U[t])]
+                        Ut[t] = [x + q * y for x, y in zip(Ut[t], Ut[i])]
                     if D[i][t] != 0:
                         dirty = True
             for j in range(t + 1, n):
@@ -388,15 +407,12 @@ def _snf_int(D, U, V, m, n):
                             row[j] -= q * row[t]
                         for row in V:
                             row[j] -= q * row[t]
+                        Vi[t] = [x + q * y for x, y in zip(Vi[t], Vi[j])]
                     if D[t][j] != 0:
                         dirty = True
             if dirty:
                 # Remainders smaller than the pivot appeared; re-pick.
-                pi, pj = _find_pivot_z(D, t, m, n)
-                _swap_rows(D, t, pi)
-                _swap_rows(U, t, pi)
-                _swap_cols(D, t, pj)
-                _swap_cols(V, t, pj)
+                _move_pivot(D, U, Ut, V, Vi, t, *_find_pivot_z(D, t, m, n))
                 continue
             # Row and column are clear; enforce divisibility into the rest.
             d = D[t][t]
@@ -413,6 +429,7 @@ def _snf_int(D, U, V, m, n):
                 break
             D[t] = [x + y for x, y in zip(D[t], D[offender])]
             U[t] = [x + y for x, y in zip(U[t], U[offender])]
+            Ut[offender] = [x - y for x, y in zip(Ut[offender], Ut[t])]
         t += 1
     return t
 

@@ -53,11 +53,7 @@ class TwistedComplex(FreeComplex):
             )
             self._basis_names[k] = names
             ranks[k] = len(names) * d
-        diffs = (
-            _chain_diffs(base, system, self._basis_names)
-            if direction == "chain"
-            else _cochain_diffs(base, system, self._basis_names)
-        )
+        diffs = _diffs(base, system, self._basis_names, direction)
         super().__init__(label, system.ring, direction, ranks, diffs)
 
     def basis_names(self, k: int) -> tuple[str, ...]:
@@ -74,68 +70,39 @@ class TwistedComplex(FreeComplex):
         return out
 
 
-def _chain_diffs(K, G, basis_names):
+def _diffs(K, G, basis_names, direction):
+    """Differentials keyed by source degree.  Each k-simplex s (k >= 1) is
+    visited once: a chain complex gets the block at (face i, s), T for i = 0
+    and (-1)^i I otherwise; a cochain complex gets the block at (s, face i)
+    of the degree k-1 coboundary, (-1)^(k-1) times T^-1 or (-1)^i I."""
     ring = G.ring
     d = G.rank
+    cochain = direction == "cochain"
+    one = Matrix.identity(ring, d)
     diffs = {}
     for k in range(1, K.dimension + 1):
-        rows_names = basis_names.get(k - 1, ())
-        cols_names = basis_names.get(k, ())
-        row_idx = {nm: i for i, nm in enumerate(rows_names)}
-        mat = Matrix.zeros(ring, len(rows_names) * d, len(cols_names) * d)
-        for cj, nm in enumerate(cols_names):
-            faces = K.faces(nm)
-            T = G.transport(K.front_edge(nm))
-            for i, f in enumerate(faces):
-                ri = row_idx.get(f)
-                if ri is None:
+        face_names = basis_names.get(k - 1, ())
+        names = basis_names.get(k, ())
+        face_idx = {nm: i for i, nm in enumerate(face_names)}
+        nf, ns = len(face_names) * d, len(names) * d
+        mat = Matrix.zeros(ring, ns, nf) if cochain else Matrix.zeros(ring, nf, ns)
+        flip = cochain and k % 2 == 0
+        for sj, nm in enumerate(names):
+            edge = K.front_edge(nm)
+            T = G.transport_inverse(edge) if cochain else G.transport(edge)
+            for i, f in enumerate(K.faces(nm)):
+                fi = face_idx.get(f)
+                if fi is None:
                     continue
-                if i == 0:
-                    block = T
-                else:
-                    block = Matrix.identity(ring, d)
-                    if i % 2 == 1:
-                        block = block.neg()
-                for a in range(d):
-                    for b in range(d):
-                        mat.rows[ri * d + a][cj * d + b] = ring.add(
-                            mat.rows[ri * d + a][cj * d + b], block.rows[a][b]
-                        )
-        diffs[k] = mat
-    return diffs
-
-
-def _cochain_diffs(K, G, basis_names):
-    ring = G.ring
-    d = G.rank
-    diffs = {}
-    for k in range(0, K.dimension):
-        rows_names = basis_names.get(k + 1, ())
-        cols_names = basis_names.get(k, ())
-        col_idx = {nm: i for i, nm in enumerate(cols_names)}
-        mat = Matrix.zeros(ring, len(rows_names) * d, len(cols_names) * d)
-        sign = 1 if k % 2 == 0 else -1
-        for ri, nm in enumerate(rows_names):
-            faces = K.faces(nm)
-            Tinv = G.transport_inverse(K.front_edge(nm))
-            for i, f in enumerate(faces):
-                cj = col_idx.get(f)
-                if cj is None:
-                    continue
-                if i == 0:
-                    block = Tinv
-                else:
-                    block = Matrix.identity(ring, d)
-                    if i % 2 == 1:
-                        block = block.neg()
-                if sign == -1:
+                block = T if i == 0 else one
+                if (i % 2 == 1) != flip:
                     block = block.neg()
+                r0, c0 = (sj * d, fi * d) if cochain else (fi * d, sj * d)
                 for a in range(d):
+                    row = mat.rows[r0 + a]
                     for b in range(d):
-                        mat.rows[ri * d + a][cj * d + b] = ring.add(
-                            mat.rows[ri * d + a][cj * d + b], block.rows[a][b]
-                        )
-        diffs[k] = mat
+                        row[c0 + b] = ring.add(row[c0 + b], block.rows[a][b])
+        diffs[k - 1 if cochain else k] = mat
     return diffs
 
 

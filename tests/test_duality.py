@@ -2,7 +2,7 @@ import pytest
 
 import twistlab as tl
 from twistlab.duality import CAP_LEIBNIZ_S1, cap_leibniz_s2
-from twistlab.errors import ValidationError
+from twistlab.errors import TwistlabError, ValidationError
 
 from conftest import (
     MANIFOLDS,
@@ -64,6 +64,16 @@ def test_cap_rank_zero_gives_zero():
     H = tl.constant_system(K, 1, tl.Z)
     out = tl.cap_product(K, G0, H, 1, [], 1, [1])
     assert out == []
+
+
+def test_cap_rejects_a_cochain_or_chain_of_the_wrong_length():
+    K = load_complex("torus")
+    G = tl.constant_system(K, 1, tl.Z)
+    assert len(K.simplices(1)) == 3 and len(K.simplices(2)) == 2
+    tl.cap_product(K, G, G, 1, [1, 0, 0], 2, [1, -1])
+    for cochain, chain in (([1], [1, -1]), ([1, 0, 0], [1])):
+        with pytest.raises(TwistlabError, match="length"):
+            tl.cap_product(K, G, G, 1, cochain, 2, chain)
 
 
 def test_system_on_a_different_complex_of_the_same_name_is_rejected():

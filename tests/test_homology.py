@@ -86,6 +86,26 @@ def test_class_coordinates_reject_a_batch_with_a_non_cycle():
         C.class_coordinates(1, batch)
 
 
+@pytest.mark.parametrize("name", ["torus", "rp2"])
+def test_homology_runs_at_most_two_snfs_per_degree(name, monkeypatch):
+    calls = []
+    real = tl.matrices.smith_normal_form
+
+    def counting(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(tl.matrices, "smith_normal_form", counting)
+    monkeypatch.setattr(tl.homology, "smith_normal_form", counting)
+    K = load_complex(name)
+    for ring in (tl.Z, tl.prime_field(2)):
+        C = tl.chain_complex(K, tl.constant_system(K, 1, ring))
+        for k in range(K.dimension + 1):
+            calls.clear()
+            C.homology(k)
+            assert len(calls) <= 2, (name, ring, k)
+
+
 def test_field_homology_has_no_torsion():
     F5 = tl.prime_field(5)
     C = FreeComplex(

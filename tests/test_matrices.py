@@ -3,7 +3,7 @@ import random
 import pytest
 
 from twistlab import Matrix, Q, Z, kernel_basis, prime_field, smith_normal_form, solve
-from twistlab.errors import TwistlabError
+from twistlab.errors import CapacityError, TwistlabError
 from twistlab.matrices import determinant, image_basis, inverse, is_invertible
 
 
@@ -42,6 +42,8 @@ def test_snf_random_unimodularity_and_divisibility():
         assert snf.U.mul(A).mul(snf.V) == snf.D
         assert abs(determinant(snf.U)) == 1
         assert abs(determinant(snf.V)) == 1
+        assert snf.U.mul(snf.Uinv) == Matrix.identity(Z, m)
+        assert snf.V.mul(snf.Vinv) == Matrix.identity(Z, n)
         diag = [d for d in snf.diagonal if d != 0]
         assert all(d > 0 for d in diag)
         for a, b in zip(diag, diag[1:]):
@@ -70,6 +72,9 @@ def test_snf_over_fields():
     B = Matrix.from_int_rows(Q, [[2, 4], [6, 8]])
     sb = smith_normal_form(B)
     assert sb.rank == 2
+    for s, ring in ((snf, F5), (sb, Q)):
+        assert s.U.mul(s.Uinv) == Matrix.identity(ring, 2)
+        assert s.V.mul(s.Vinv) == Matrix.identity(ring, 2)
 
 
 def test_kernel_and_solve():
@@ -134,7 +139,17 @@ def test_add_keeps_columns_of_empty_matrices():
     assert A.sub(A) == A
 
 
+def test_mul_vec_rejects_a_vector_of_the_wrong_length():
+    A = M([[1, 2], [3, 4]])
+    assert A.mul_vec([1, 1]) == [3, 7]
+    for vec in ([1], [1, 1, 1]):
+        with pytest.raises(TwistlabError):
+            A.mul_vec(vec)
+
+
 def test_capacity_bound():
-    big = Matrix.zeros(Z, 1, 20001)
-    with pytest.raises(TwistlabError):
-        smith_normal_form(big)
+    # 1 x 6000 passes a per-side bound of 20000, but its 6000 x 6000
+    # V and V^-1 alone hold 7.2e7 entries.
+    for n in (20001, 6000):
+        with pytest.raises(CapacityError):
+            smith_normal_form(Matrix.zeros(Z, 1, n))
