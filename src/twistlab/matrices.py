@@ -4,6 +4,12 @@ All homology computations reduce to the routines here.  Over the integers the
 diagonalization keeps unimodular transform matrices so kernels, solutions of
 linear systems, and quotient presentations are exact; over fields the same
 interface degenerates to Gaussian elimination.
+
+Storage is dense (a list of row lists), but the matrices that arise are
+sparse: a boundary matrix of a rank-d local system has at most (k+1)*d^2
+nonzeros per column.  So products and the column operations of SNF visit
+only nonzero entries.  Each product entry is still summed over the inner
+index in increasing order.
 """
 
 from __future__ import annotations
@@ -56,7 +62,9 @@ class Matrix:
 
     @classmethod
     def column(cls, ring, entries):
-        return cls(ring, [[e] for e in entries])
+        m = cls(ring, [[e] for e in entries])
+        m.ncols = 1
+        return m
 
     # -- basic ops ----------------------------------------------------
 
@@ -101,21 +109,21 @@ class Matrix:
                 f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}"
             )
         rg = self.ring
-        zero = rg.zero()
+        zero, add, mul, is_zero = rg.zero(), rg.add, rg.mul, rg.is_zero
+        n = other.ncols
+        # Row k of `other` as its nonzero (j, b) pairs; each nonzero a = A[i][k]
+        # adds a*b into out[i][j], in the same order over k as a dot product.
+        bnz = [[(j, b) for j, b in enumerate(brow) if not is_zero(b)] for brow in other.rows]
         out = []
-        bt = list(zip(*other.rows)) if other.rows else [[]] * other.ncols
         for arow in self.rows:
-            row = []
-            for j in range(other.ncols):
-                acc = zero
-                bcol = bt[j] if other.rows else ()
-                for a, b in zip(arow, bcol):
-                    if not rg.is_zero(a) and not rg.is_zero(b):
-                        acc = rg.add(acc, rg.mul(a, b))
-                row.append(acc)
+            row = [zero] * n
+            for a, pairs in zip(arow, bnz):
+                if pairs and not is_zero(a):
+                    for j, b in pairs:
+                        row[j] = add(row[j], mul(a, b))
             out.append(row)
         m = Matrix(rg, out)
-        m.ncols = other.ncols
+        m.ncols = n
         return m
 
     def mul_vec(self, vec: list) -> list:
@@ -124,12 +132,15 @@ class Matrix:
                 f"shape mismatch {self.nrows}x{self.ncols} * vector of length {len(vec)}"
             )
         rg = self.ring
+        zero, add, mul, is_zero = rg.zero(), rg.add, rg.mul, rg.is_zero
+        nz = [(k, x) for k, x in enumerate(vec) if not is_zero(x)]
         out = []
         for row in self.rows:
-            acc = rg.zero()
-            for a, x in zip(row, vec):
-                if not rg.is_zero(a) and not rg.is_zero(x):
-                    acc = rg.add(acc, rg.mul(a, x))
+            acc = zero
+            for k, x in nz:
+                a = row[k]
+                if not is_zero(a):
+                    acc = add(acc, mul(a, x))
             out.append(acc)
         return out
 
@@ -301,6 +312,13 @@ def _swap_cols(mat, i, j):
             row[i], row[j] = row[j], row[i]
 
 
+def _rows_with_nonzero(mat, t, rg):
+    """The rows of mat whose entry in column t is nonzero: the only rows a
+    column operation col_j -= c * col_t changes.  A sweep over j != t leaves
+    column t as it is, so one list serves the whole sweep."""
+    return [row for row in mat if not rg.is_zero(row[t])]
+
+
 def _move_pivot(D, U, Ut, V, Vi, t, pi, pj):
     """Swap the pivot at (pi, pj) to (t, t) in D, U, Ut = (U^-1)^T, V and
     Vi = V^-1."""
@@ -362,12 +380,13 @@ def _snf_field(D, U, Ut, V, Vi, m, n, rg):
                 D[i] = [rg.sub(x, rg.mul(c, y)) for x, y in zip(D[i], D[t])]
                 U[i] = [rg.sub(x, rg.mul(c, y)) for x, y in zip(U[i], U[t])]
                 Ut[t] = [rg.add(x, rg.mul(c, y)) for x, y in zip(Ut[t], Ut[i])]
+        drows, vrows = _rows_with_nonzero(D, t, rg), _rows_with_nonzero(V, t, rg)
         for j in range(n):
             if j != t and not rg.is_zero(D[t][j]):
                 c = D[t][j]
-                for row in D:
+                for row in drows:
                     row[j] = rg.sub(row[j], rg.mul(c, row[t]))
-                for row in V:
+                for row in vrows:
                     row[j] = rg.sub(row[j], rg.mul(c, row[t]))
                 Vi[t] = [rg.add(x, rg.mul(c, y)) for x, y in zip(Vi[t], Vi[j])]
         t += 1
@@ -398,14 +417,15 @@ def _snf_int(D, U, Ut, V, Vi, m, n):
                         Ut[t] = [x + q * y for x, y in zip(Ut[t], Ut[i])]
                     if D[i][t] != 0:
                         dirty = True
+            drows, vrows = _rows_with_nonzero(D, t, Z), _rows_with_nonzero(V, t, Z)
             for j in range(t + 1, n):
                 a = D[t][j]
                 if a != 0:
                     q = a // d
                     if q != 0:
-                        for row in D:
+                        for row in drows:
                             row[j] -= q * row[t]
-                        for row in V:
+                        for row in vrows:
                             row[j] -= q * row[t]
                         Vi[t] = [x + q * y for x, y in zip(Vi[t], Vi[j])]
                     if D[t][j] != 0:

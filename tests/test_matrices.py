@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,27 +33,54 @@ def test_snf_zero_matrix():
     assert abs(determinant(snf.V)) == 1
 
 
-def test_snf_random_unimodularity_and_divisibility():
+def random_matrix(rng, ring, m, n, density):
+    """An m x n matrix with entries in -9..9, each drawn with probability
+    `density` and zero otherwise; at density 1 no coin is tossed."""
+    A = Matrix.zeros(ring, m, n)
+    for row in A.rows:
+        for j in range(n):
+            if density >= 1 or rng.random() < density:
+                row[j] = ring.from_int(rng.randint(-9, 9))
+    return A
+
+
+@pytest.mark.parametrize(
+    "ring, density",
+    [
+        pytest.param(Z, 1, id="Z-dense"),
+        pytest.param(Z, 0.1, id="Z-sparse"),
+        pytest.param(Q, 0.1, id="Q-sparse"),
+        pytest.param(prime_field(5), 0.1, id="F5-sparse"),
+        pytest.param(prime_field(2), 0.1, id="F2-sparse"),
+    ],
+)
+def test_snf_random_unimodularity_and_divisibility(ring, density):
     rng = random.Random(12345)
     for _ in range(200):
         m = rng.randint(1, 12)
         n = rng.randint(1, 12)
-        A = M([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+        A = random_matrix(rng, ring, m, n, density)
         snf = smith_normal_form(A)
         assert snf.U.mul(A).mul(snf.V) == snf.D
-        assert abs(determinant(snf.U)) == 1
-        assert abs(determinant(snf.V)) == 1
-        assert snf.U.mul(snf.Uinv) == Matrix.identity(Z, m)
-        assert snf.V.mul(snf.Vinv) == Matrix.identity(Z, n)
-        diag = [d for d in snf.diagonal if d != 0]
-        assert all(d > 0 for d in diag)
-        for a, b in zip(diag, diag[1:]):
-            assert b % a == 0
+        if ring == Z:
+            assert abs(determinant(snf.U)) == 1
+            assert abs(determinant(snf.V)) == 1
+        assert snf.U.mul(snf.Uinv) == Matrix.identity(ring, m)
+        assert snf.V.mul(snf.Vinv) == Matrix.identity(ring, n)
+        diag = [d for d in snf.diagonal if not ring.is_zero(d)]
+        assert len(diag) == snf.rank
+        assert snf.diagonal[: snf.rank] == diag
+        if ring == Z:
+            assert all(d > 0 for d in diag)
+            for a, b in zip(diag, diag[1:]):
+                assert b % a == 0
+        else:
+            assert diag == [ring.one()] * snf.rank
         # off-diagonal zero
         for i in range(snf.D.nrows):
             for j in range(snf.D.ncols):
                 if i != j:
-                    assert snf.D.rows[i][j] == 0
+                    assert ring.is_zero(snf.D.rows[i][j])
 
 
 def test_snf_deterministic():
@@ -145,6 +173,45 @@ def test_mul_vec_rejects_a_vector_of_the_wrong_length():
     for vec in ([1], [1, 1, 1]):
         with pytest.raises(TwistlabError):
             A.mul_vec(vec)
+
+
+def naive_mul(A, B):
+    """Reference product: one ring sum over every k for every (i, j)."""
+    rg = A.ring
+    rows = []
+    for i in range(A.nrows):
+        row = []
+        for j in range(B.ncols):
+            acc = rg.zero()
+            for k in range(A.ncols):
+                acc = rg.add(acc, rg.mul(A.rows[i][k], B.rows[k][j]))
+            row.append(acc)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("ring", [Z, Q, prime_field(5)], ids=str)
+@pytest.mark.parametrize("density", [0.05, 0.5, 1])
+def test_mul_and_mul_vec_match_the_naive_product(ring, density):
+    rng = random.Random(2024)
+    shapes = [(3, 0, 4), (0, 2, 3)] + [tuple(rng.randint(0, 9) for _ in range(3)) for _ in range(60)]
+    for m, k, n in shapes:
+        A = random_matrix(rng, ring, m, k, density)
+        if ring == Q:
+            A = A.scale(Fraction(1, rng.randint(1, 6)))
+        B = random_matrix(rng, ring, k, n, density)
+        P, ref = A.mul(B), naive_mul(A, B)
+        assert (P.nrows, P.ncols) == (m, n)
+        assert P.rows == ref
+        if n:
+            assert A.mul_vec(B.col(0)) == [row[0] for row in ref]
+
+
+def test_column_of_no_entries_is_one_column():
+    c = Matrix.column(Z, [])
+    assert (c.nrows, c.ncols) == (0, 1)
+    P = Matrix.zeros(Z, 2, 0).mul(c)
+    assert P == Matrix.zeros(Z, 2, 1)
 
 
 def test_capacity_bound():
