@@ -32,7 +32,7 @@ from .homology import (
     mapping_cone,
 )
 from .maps import SimplicialMap, identity_map, parse_map
-from .matrices import Matrix, kernel_basis, smith_normal_form, solve
+from .matrices import Matrix, kernel_basis, smith_diagonal, smith_normal_form, solve
 from .rings import Q, Z, prime_field, ring_from_token
 from .systems import (
     Gauge,

@@ -156,7 +156,7 @@ def _cmd_groups(args, out, kind: str):
     if args.format == "human":
         out.append(f"{kind} of {where} with coefficients {G.name} over {G.ring.token}")
     degrees = [args.degree] if args.degree is not None else range(K.dimension + 1)
-    groups = [(k, C.homology(k)) for k in degrees]
+    groups = [(k, C.group(k)) for k in degrees]
     _emit_groups(out, kind, K.name, groups, args.format)
     return 0
 

@@ -61,7 +61,10 @@ class DeltaComplex:
         return self._simplices[name].dim
 
     def faces(self, name: str) -> tuple[str, ...]:
-        return self._simplices[name].faces
+        try:
+            return self._simplices[name].faces
+        except KeyError:
+            raise ValidationError(f"complex {self.name!r} has no simplex {name!r}") from None
 
     def face(self, name: str, i: int) -> str:
         return self._simplices[name].faces[i]

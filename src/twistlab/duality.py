@@ -238,13 +238,13 @@ def duality_report(K: DeltaComplex, G: LocalSystem) -> DualityReport:
     report = DualityReport(K, G, w, trivializable, mu)
     for k in range(n + 1):
         report.degrees.append(
-            DualityDegree(k, cap.source.homology(n - k), cap.target.homology(n - k))
+            DualityDegree(k, cap.source.group(n - k), cap.target.group(n - k))
         )
     report.cap_quasi_iso = is_quasi_iso(cap)
     if trivializable:
         plain = chain_complex(K, G)
         report.orientable_reading_agrees = all(
-            plain.homology(j).isomorphic_to(cap.target.homology(j))
+            plain.group(j).isomorphic_to(cap.target.group(j))
             for j in range(n + 1)
         )
     return report

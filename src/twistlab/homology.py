@@ -4,12 +4,17 @@ Over Z a homology group is presented by Smith normal form: a free rank, a
 divisibility chain of invariant factors, and one representative cycle per
 generator (torsion generators first, then free ones).  Over Q or F_p the same
 code path degenerates to ranks.  Induced maps, mapping cones, and exactness
-checking of assembled sequences all run through these presentations.  Each
-degree runs two SNFs: one of its differential, whose V holds the cycle basis
-and whose V^-1 gives cycle coordinates, and one of the boundaries' cycle
-coordinates, whose U^-1 gives the generators.  Class coordinates are computed
-a matrix at a time: the classes of all columns of a cycle matrix are read
-from one product with the kept V^-1.
+checking of assembled sequences all run through these presentations.
+
+A group alone (`FreeComplex.group`, and `is_acyclic` through it) needs only
+ranks and invariant factors, so it runs one transform-free elimination per
+differential, kept for every degree that differential touches.
+Representatives (`FreeComplex.homology`) take two SNFs per degree: one of its
+differential, whose V holds the cycle basis and whose V^-1 gives cycle
+coordinates, and one of the boundaries' cycle coordinates, whose U^-1 gives
+the generators.  Class coordinates are computed a matrix at a time: the
+classes of all columns of a cycle matrix are read from one product with the
+kept V^-1.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .matrices import (
     block_matrix,
     image_basis,
     kernel_basis,
+    smith_diagonal,
     smith_normal_form,
     solve,
 )
@@ -47,6 +53,7 @@ class FreeComplex:
         self._ranks = {k: r for k, r in ranks.items() if r > 0}
         self._diffs = diffs
         self._homology: dict[int, tuple] = {}
+        self._diagonals: dict[int, tuple[list, int]] = {}
         if check:
             self.assert_squares_zero()
 
@@ -64,6 +71,10 @@ class FreeComplex:
 
     def _target_degree(self, k: int) -> int:
         return k - 1 if self.direction == "chain" else k + 1
+
+    def _source_degree(self, k: int) -> int:
+        """The degree whose differential lands in degree k."""
+        return k + 1 if self.direction == "chain" else k - 1
 
     def diff(self, k: int) -> Matrix:
         d = self._diffs.get(k)
@@ -85,12 +96,27 @@ class FreeComplex:
 
     def homology_ctx(self, k: int):
         if k not in self._homology:
-            if self.direction == "chain":
-                bd = self.diff(k + 1)
-            else:
-                bd = self.diff(k - 1)
+            bd = self.diff(self._source_degree(k))
             self._homology[k] = presentation_of_quotient(smith_normal_form(self.diff(k)), bd)
         return self._homology[k]
+
+    def _diagonal(self, k: int) -> tuple[list, int]:
+        if k not in self._diagonals:
+            self._diagonals[k] = smith_diagonal(self.diff(k))
+        return self._diagonals[k]
+
+    def group(self, k: int) -> "ModulePresentation":
+        """The degree-k group without representatives: its rank is
+        rank C_k - rank d_k - rank d_in, and its invariant factors are the
+        non-unit diagonal entries of d_in, the differential into degree k.
+        Relies on d.d = 0, checked when the complex is built."""
+        if k in self._homology:
+            return self._homology[k][0]
+        _, r_out = self._diagonal(k)
+        diag_in, r_in = self._diagonal(self._source_degree(k))
+        invariants = () if self.ring.is_field else tuple(d for d in diag_in[:r_in] if d >= 2)
+        return ModulePresentation(self.ring, self.rank(k) - r_out - r_in, invariants,
+                                  self.rank(k))
 
     def homology(self, k: int) -> "ModulePresentation":
         return self.homology_ctx(k)[0]
@@ -114,7 +140,7 @@ class FreeComplex:
         return gamma
 
     def is_acyclic(self) -> bool:
-        return all(self.homology(k).is_zero for k in self.degree_span())
+        return all(self.group(k).is_zero for k in self.degree_span())
 
 
 @dataclass(frozen=True)

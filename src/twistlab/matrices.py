@@ -3,7 +3,10 @@
 All homology computations reduce to the routines here.  Over the integers the
 diagonalization keeps unimodular transform matrices so kernels, solutions of
 linear systems, and quotient presentations are exact; over fields the same
-interface degenerates to Gaussian elimination.
+interface degenerates to Gaussian elimination.  `smith_normal_form` returns
+the diagonal with both transforms and their inverses; `smith_diagonal` runs
+the same elimination without transforms and returns only the diagonal and
+the rank, which is all that ranks and invariant factors need.
 
 Storage is dense (a list of row lists), but the matrices that arise are
 sparse: a boundary matrix of a rank-d local system has at most (k+1)*d^2
@@ -19,8 +22,9 @@ from dataclasses import dataclass
 from .errors import CapacityError, RingMismatchError, TwistlabError
 from .rings import Ring, Z
 
-# Bound on the entries an m x n SNF holds: D plus U, U^-1, V and V^-1.  5e7
-# list slots are about 400 MB of pointers; desk-scale inputs stay far below it.
+# Bound on the entries an m x n SNF holds: D plus U, U^-1, V and V^-1 (D alone
+# without transforms).  5e7 list slots are about 400 MB of pointers; desk-scale
+# inputs stay far below it.
 MAX_SNF_ENTRIES = 5 * 10**7
 
 
@@ -278,12 +282,17 @@ class SNF:
 
 
 def _find_pivot_z(rows, t, m, n):
+    """The nonzero entry of least absolute value in the submatrix from (t, t),
+    ties going to the lowest row, then column.  A unit is least, so the first
+    +-1 in row-major order is the answer and ends the scan."""
     best = None
     for i in range(t, m):
         ri = rows[i]
         for j in range(t, n):
             a = ri[j]
             if a != 0:
+                if a == 1 or a == -1:
+                    return i, j
                 key = (abs(a), i, j)
                 if best is None or key < best:
                     best = key
@@ -319,14 +328,25 @@ def _rows_with_nonzero(mat, t, rg):
     return [row for row in mat if not rg.is_zero(row[t])]
 
 
-def _move_pivot(D, U, Ut, V, Vi, t, pi, pj):
-    """Swap the pivot at (pi, pj) to (t, t) in D, U, Ut = (U^-1)^T, V and
-    Vi = V^-1."""
-    for mat in (D, U, Ut):
-        _swap_rows(mat, t, pi)
-    for mat in (D, V):
-        _swap_cols(mat, t, pj)
-    _swap_rows(Vi, t, pj)
+def _move_pivot(D, T, t, pi, pj):
+    """Swap the pivot at (pi, pj) to (t, t) in D and, when T holds the
+    transforms (U, Ut = (U^-1)^T, V, Vi = V^-1), in them too."""
+    _swap_rows(D, t, pi)
+    _swap_cols(D, t, pj)
+    if T:
+        U, Ut, V, Vi = T
+        _swap_rows(U, t, pi)
+        _swap_rows(Ut, t, pi)
+        _swap_cols(V, t, pj)
+        _swap_rows(Vi, t, pj)
+
+
+def _check_capacity(m, n, entries):
+    if entries > MAX_SNF_ENTRIES:
+        raise CapacityError(
+            f"diagonalizing a {m}x{n} matrix holds {entries} entries, over the "
+            f"{MAX_SNF_ENTRIES}-entry bound"
+        )
 
 
 def smith_normal_form(A: Matrix) -> SNF:
@@ -342,45 +362,63 @@ def smith_normal_form(A: Matrix) -> SNF:
     is the inverse row operation on V^-1.
     """
     m, n = A.nrows, A.ncols
-    if m * n + 2 * m * m + 2 * n * n > MAX_SNF_ENTRIES:
-        raise CapacityError(
-            f"matrix {m}x{n} and its transforms exceed the {MAX_SNF_ENTRIES}-entry bound"
-        )
+    _check_capacity(m, n, m * n + 2 * m * m + 2 * n * n)
     rg = A.ring
     D = [row[:] for row in A.rows]
     U, Ut = Matrix.identity(rg, m).rows, Matrix.identity(rg, m).rows
     V, Vi = Matrix.identity(rg, n).rows, Matrix.identity(rg, n).rows
-
-    if rg.is_field:
-        rank = _snf_field(D, U, Ut, V, Vi, m, n, rg)
-    else:
-        rank = _snf_int(D, U, Ut, V, Vi, m, n)
-
+    rank = _eliminate(D, (U, Ut, V, Vi), m, n, rg)
     dD = Matrix(rg, D)
     dD.ncols = n
     return SNF(Matrix(rg, U), dD, Matrix(rg, V), Matrix(rg, Ut).transpose(),
                Matrix(rg, Vi), rank)
 
 
-def _snf_field(D, U, Ut, V, Vi, m, n, rg):
+def smith_diagonal(A: Matrix) -> tuple[list, int]:
+    """The diagonal of A's Smith normal form and its rank, without transforms.
+
+    The elimination is the one `smith_normal_form` runs, with the same pivots
+    and the same operations on D, so the diagonal is the same; only the
+    updates of U, V and their inverses are skipped.
+    """
+    m, n = A.nrows, A.ncols
+    _check_capacity(m, n, m * n)
+    D = [row[:] for row in A.rows]
+    rank = _eliminate(D, None, m, n, A.ring)
+    return [D[i][i] for i in range(min(m, n))], rank
+
+
+def _eliminate(D, T, m, n, rg):
+    """Diagonalize the rows D in place and return the rank; T is the tuple
+    (U, Ut, V, Vi) of transforms to update alongside, or None."""
+    if rg.is_field:
+        return _snf_field(D, T, m, n, rg)
+    return _snf_int(D, T, m, n)
+
+
+def _snf_field(D, T, m, n, rg):
+    U, Ut, V, Vi = T or (None,) * 4
     t = 0
     while True:
         piv = _find_pivot_field(D, t, m, n, rg)
         if piv is None:
             break
-        _move_pivot(D, U, Ut, V, Vi, t, *piv)
+        _move_pivot(D, T, t, *piv)
         p = D[t][t]
         inv = rg.inv(p)
         D[t] = [rg.mul(inv, x) for x in D[t]]
-        U[t] = [rg.mul(inv, x) for x in U[t]]
-        Ut[t] = [rg.mul(p, x) for x in Ut[t]]
+        if T:
+            U[t] = [rg.mul(inv, x) for x in U[t]]
+            Ut[t] = [rg.mul(p, x) for x in Ut[t]]
         for i in range(m):
             if i != t and not rg.is_zero(D[i][t]):
                 c = D[i][t]
                 D[i] = [rg.sub(x, rg.mul(c, y)) for x, y in zip(D[i], D[t])]
-                U[i] = [rg.sub(x, rg.mul(c, y)) for x, y in zip(U[i], U[t])]
-                Ut[t] = [rg.add(x, rg.mul(c, y)) for x, y in zip(Ut[t], Ut[i])]
-        drows, vrows = _rows_with_nonzero(D, t, rg), _rows_with_nonzero(V, t, rg)
+                if T:
+                    U[i] = [rg.sub(x, rg.mul(c, y)) for x, y in zip(U[i], U[t])]
+                    Ut[t] = [rg.add(x, rg.mul(c, y)) for x, y in zip(Ut[t], Ut[i])]
+        drows = _rows_with_nonzero(D, t, rg)
+        vrows = _rows_with_nonzero(V, t, rg) if T else ()
         for j in range(n):
             if j != t and not rg.is_zero(D[t][j]):
                 c = D[t][j]
@@ -388,23 +426,26 @@ def _snf_field(D, U, Ut, V, Vi, m, n, rg):
                     row[j] = rg.sub(row[j], rg.mul(c, row[t]))
                 for row in vrows:
                     row[j] = rg.sub(row[j], rg.mul(c, row[t]))
-                Vi[t] = [rg.add(x, rg.mul(c, y)) for x, y in zip(Vi[t], Vi[j])]
+                if T:
+                    Vi[t] = [rg.add(x, rg.mul(c, y)) for x, y in zip(Vi[t], Vi[j])]
         t += 1
     return t
 
 
-def _snf_int(D, U, Ut, V, Vi, m, n):
+def _snf_int(D, T, m, n):
+    U, Ut, V, Vi = T or (None,) * 4
     t = 0
     while True:
         piv = _find_pivot_z(D, t, m, n)
         if piv is None:
             break
-        _move_pivot(D, U, Ut, V, Vi, t, *piv)
+        _move_pivot(D, T, t, *piv)
         while True:
             if D[t][t] < 0:
                 D[t] = [-x for x in D[t]]
-                U[t] = [-x for x in U[t]]
-                Ut[t] = [-x for x in Ut[t]]
+                if T:
+                    U[t] = [-x for x in U[t]]
+                    Ut[t] = [-x for x in Ut[t]]
             d = D[t][t]
             dirty = False
             for i in range(t + 1, m):
@@ -413,11 +454,13 @@ def _snf_int(D, U, Ut, V, Vi, m, n):
                     q = a // d
                     if q != 0:
                         D[i] = [x - q * y for x, y in zip(D[i], D[t])]
-                        U[i] = [x - q * y for x, y in zip(U[i], U[t])]
-                        Ut[t] = [x + q * y for x, y in zip(Ut[t], Ut[i])]
+                        if T:
+                            U[i] = [x - q * y for x, y in zip(U[i], U[t])]
+                            Ut[t] = [x + q * y for x, y in zip(Ut[t], Ut[i])]
                     if D[i][t] != 0:
                         dirty = True
-            drows, vrows = _rows_with_nonzero(D, t, Z), _rows_with_nonzero(V, t, Z)
+            drows = _rows_with_nonzero(D, t, Z)
+            vrows = _rows_with_nonzero(V, t, Z) if T else ()
             for j in range(t + 1, n):
                 a = D[t][j]
                 if a != 0:
@@ -427,15 +470,19 @@ def _snf_int(D, U, Ut, V, Vi, m, n):
                             row[j] -= q * row[t]
                         for row in vrows:
                             row[j] -= q * row[t]
-                        Vi[t] = [x + q * y for x, y in zip(Vi[t], Vi[j])]
+                        if T:
+                            Vi[t] = [x + q * y for x, y in zip(Vi[t], Vi[j])]
                     if D[t][j] != 0:
                         dirty = True
             if dirty:
                 # Remainders smaller than the pivot appeared; re-pick.
-                _move_pivot(D, U, Ut, V, Vi, t, *_find_pivot_z(D, t, m, n))
+                _move_pivot(D, T, t, *_find_pivot_z(D, t, m, n))
                 continue
-            # Row and column are clear; enforce divisibility into the rest.
+            # Row and column are clear; enforce divisibility into the rest,
+            # which a unit pivot has already.
             d = D[t][t]
+            if d == 1:
+                break
             offender = None
             for i in range(t + 1, m):
                 ri = D[i]
@@ -448,8 +495,9 @@ def _snf_int(D, U, Ut, V, Vi, m, n):
             if offender is None:
                 break
             D[t] = [x + y for x, y in zip(D[t], D[offender])]
-            U[t] = [x + y for x, y in zip(U[t], U[offender])]
-            Ut[offender] = [x - y for x, y in zip(Ut[offender], Ut[t])]
+            if T:
+                U[t] = [x + y for x, y in zip(U[t], U[offender])]
+                Ut[offender] = [x - y for x, y in zip(Ut[offender], Ut[t])]
         t += 1
     return t
 

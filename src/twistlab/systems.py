@@ -67,11 +67,16 @@ class LocalSystem:
                 )
 
     def transport(self, edge: str) -> Matrix:
-        return self.transports[edge]
+        try:
+            return self.transports[edge]
+        except KeyError:
+            raise ValidationError(
+                f"system {self.name!r}: no edge {edge!r} in {self.base.name!r}"
+            ) from None
 
     def transport_inverse(self, edge: str) -> Matrix:
         if edge not in self._inverses:
-            self._inverses[edge] = inverse(self.transports[edge])
+            self._inverses[edge] = inverse(self.transport(edge))
         return self._inverses[edge]
 
     def __repr__(self):

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,15 @@ def test_all_examples_exit_zero():
         status, text = run(cmd)
         assert status == 0, (cmd, text)
         assert text.strip(), cmd
+
+
+def test_examples_match_the_recorded_output():
+    # example_outputs.json holds the exit status and stdout of every example
+    # command; any change to them, byte for byte, has to be made on purpose.
+    recorded = json.loads((ROOT / "tests" / "example_outputs.json").read_text(encoding="utf-8"))
+    assert [r["command"] for r in recorded] == EXAMPLE_COMMANDS
+    for r in recorded:
+        assert run(r["command"]) == (r["status"], r["stdout"]), r["command"]
 
 
 def test_examples_documented_in_readme():

@@ -18,6 +18,11 @@ def test_parse_torus_counts():
     assert tl.validate_complex(K).ok
 
 
+def test_faces_of_an_unknown_simplex_names_it():
+    with pytest.raises(ValidationError, match="no simplex 'nope'"):
+        load_complex("torus").faces("nope")
+
+
 def test_unknown_face_reference():
     text = "complex bad\ndim 1\nsimplex 0 v\nsimplex 1 a v q\n"
     with pytest.raises(ValidationError, match="unknown face 'q'"):

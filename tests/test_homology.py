@@ -106,6 +106,41 @@ def test_homology_runs_at_most_two_snfs_per_degree(name, monkeypatch):
             assert len(calls) <= 2, (name, ring, k)
 
 
+@pytest.mark.parametrize("name", ["torus", "rp2"])
+def test_groups_run_one_transform_free_elimination_per_differential(name, monkeypatch):
+    snfs, diagonals = [], []
+    real_snf, real_diagonal = tl.matrices.smith_normal_form, tl.matrices.smith_diagonal
+
+    def counting_snf(A):
+        snfs.append(A)
+        return real_snf(A)
+
+    def counting_diagonal(A):
+        diagonals.append(A)
+        return real_diagonal(A)
+
+    for module in (tl.matrices, tl.homology):
+        monkeypatch.setattr(module, "smith_normal_form", counting_snf)
+        monkeypatch.setattr(module, "smith_diagonal", counting_diagonal)
+    K = load_complex(name)
+    degrees = range(-1, K.dimension + 2)
+    for ring in (tl.Z, tl.prime_field(2)):
+        for build in (tl.chain_complex, tl.cochain_complex):
+            C = build(K, tl.constant_system(K, 1, ring))
+            snfs.clear()
+            diagonals.clear()
+            for k in degrees:
+                C.group(k)
+            assert not C.is_acyclic()
+            # degrees -1..dim+1 and their neighbours: one differential each
+            assert len(diagonals) <= len(degrees) + 2, (name, ring, C.direction)
+            first_pass = len(diagonals)
+            for k in degrees:
+                C.group(k)
+            assert len(diagonals) == first_pass
+            assert snfs == []
+
+
 def test_field_homology_has_no_torsion():
     F5 = tl.prime_field(5)
     C = FreeComplex(

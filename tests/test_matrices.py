@@ -5,7 +5,9 @@ import pytest
 
 from twistlab import Matrix, Q, Z, kernel_basis, prime_field, smith_normal_form, solve
 from twistlab.errors import CapacityError, TwistlabError
-from twistlab.matrices import determinant, image_basis, inverse, is_invertible
+from twistlab.matrices import (
+    determinant, image_basis, inverse, is_invertible, smith_diagonal,
+)
 
 
 def M(rows, ring=Z):
@@ -62,6 +64,7 @@ def test_snf_random_unimodularity_and_divisibility(ring, density):
         A = random_matrix(rng, ring, m, n, density)
         snf = smith_normal_form(A)
         assert snf.U.mul(A).mul(snf.V) == snf.D
+        assert smith_diagonal(A) == (snf.diagonal, snf.rank)
         if ring == Z:
             assert abs(determinant(snf.U)) == 1
             assert abs(determinant(snf.V)) == 1
@@ -220,3 +223,11 @@ def test_capacity_bound():
     for n in (20001, 6000):
         with pytest.raises(CapacityError):
             smith_normal_form(Matrix.zeros(Z, 1, n))
+
+
+def test_transform_free_capacity_bounds_the_matrix_alone(monkeypatch):
+    assert smith_diagonal(Matrix.zeros(Z, 1, 6000)) == ([0], 0)
+    monkeypatch.setattr("twistlab.matrices.MAX_SNF_ENTRIES", 110)
+    assert smith_diagonal(Matrix.identity(Z, 10)) == ([1] * 10, 10)
+    with pytest.raises(CapacityError):
+        smith_diagonal(Matrix.zeros(Z, 10, 12))

@@ -11,9 +11,17 @@ from itertools import combinations
 from math import gcd
 
 import twistlab as tl
+from twistlab.homology import ChainMapData
 from twistlab.matrices import Matrix, determinant, smith_normal_form
 
-from conftest import ALL_COMPLEXES, load_complex, load_system, random_flat_system
+from conftest import (
+    ALL_COMPLEXES,
+    fixture_text,
+    load_complex,
+    load_subcomplex,
+    load_system,
+    random_flat_system,
+)
 
 
 def minor_gcd(A, k):
@@ -103,3 +111,72 @@ def test_twisted_circle_cohomology_breaks_naive_duality():
     assert C.homology(0).invariants == (2,)
     assert D.homology(1).invariants == (2,)
     assert C.homology(1).is_zero and D.homology(0).is_zero
+
+
+def _assert_group_path_matches(build):
+    """group(k) on one fresh complex against homology(k) on another, for
+    every degree from one below the complex to one above it."""
+    C, D = build(), build()
+    span = C.degree_span() or [0]
+    for k in range(span[0] - 1, span[-1] + 2):
+        g, h = C.group(k), D.homology(k)
+        assert g.isomorphic_to(h), (C.label, k, g, h)
+        assert g.ambient_dim == h.ambient_dim, (C.label, k)
+        assert g.representatives is None
+        assert D.group(k) is h
+
+
+_SUBS = {"disk": "disk_boundary.sub", "torus": "torus_vertex.sub",
+         "klein": "klein_circle.sub", "rp2": "rp2_circle.sub"}
+_SYSTEM_FILES = {"circle1": "minus1.sys", "torus": "torus_ab.sys",
+                 "circle3": "circle3_signs.sys"}
+
+
+def test_group_path_matches_presented_homology_on_every_fixture():
+    # Ranks and invariant factors from the transform-free diagonals against
+    # the presentation built from transformed SNFs, absolute and relative.
+    rng = random.Random(161803)
+    for name in ALL_COMPLEXES:
+        K = load_complex(name)
+        systems = [tl.constant_system(K, 1, ring)
+                   for ring in (tl.Z, tl.Q, tl.prime_field(2), tl.prime_field(5))]
+        systems += [random_flat_system(name, 2, ring, rng)
+                    for ring in (tl.Z, tl.prime_field(5))]
+        if name in _SYSTEM_FILES:
+            systems.append(load_system(_SYSTEM_FILES[name], K))
+        pair = load_subcomplex(_SUBS[name], K) if name in _SUBS else None
+        for G in systems:
+            _assert_group_path_matches(lambda: tl.chain_complex(K, G))
+            _assert_group_path_matches(lambda: tl.cochain_complex(K, G))
+            for direction in ("chain", "cochain") if pair else ():
+                _assert_group_path_matches(
+                    lambda: tl.relative_complex(pair, G, direction))
+
+
+def test_group_path_matches_presented_homology_on_mapping_cones():
+    rng = random.Random(141421)
+    disk, point = load_complex("disk"), load_complex("point")
+    C3, C1 = load_complex("circle3"), load_complex("circle1")
+    collapse = tl.parse_map(fixture_text("collapse.map"), disk, point)
+    wrap = tl.parse_map(fixture_text("wrap.map"), C3, C1)
+    maps = []
+    for G in (tl.constant_system(C1, 1, tl.Z), load_system("minus1.sys", C1),
+              tl.constant_system(C1, 2, tl.prime_field(3)),
+              random_flat_system("circle1", 2, tl.Q, rng)):
+        maps.extend(tl.induced_chain_map(wrap, G))
+    for ring in (tl.Z, tl.prime_field(5)):
+        maps.extend(tl.induced_chain_map(collapse, tl.constant_system(point, 2, ring)))
+    T = load_complex("torus")
+    for K, G in ((T, tl.constant_system(T, 1, tl.Z)), (C1, load_system("minus1.sys", C1))):
+        for C in (tl.chain_complex(K, G), tl.cochain_complex(K, G)):
+            ranks = {k: C.rank(k) for k in C.degrees()}
+            maps.append(ChainMapData(
+                "id", C, C, {k: Matrix.identity(tl.Z, r) for k, r in ranks.items()}, 1))
+            maps.append(ChainMapData(
+                "zero", C, C, {k: Matrix.zeros(tl.Z, r, r) for k, r in ranks.items()}, 1))
+    for name in ("rp2", "torus"):
+        K = load_complex(name)
+        mu = tl.fundamental_class(K, tl.orientation_system(K))
+        maps.append(tl.cap_with_fundamental_class(K, tl.constant_system(K, 1, tl.Z), mu))
+    for F in maps:
+        _assert_group_path_matches(lambda: tl.mapping_cone(F))

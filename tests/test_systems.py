@@ -48,6 +48,18 @@ def test_unknown_edge():
         tl.parse_system("system bad over Z rank 1\nedge zz [[1]]\n", K)
 
 
+def test_transport_of_an_unknown_edge_names_it():
+    G = tl.constant_system(load_complex("torus"), 1, tl.Z)
+    with pytest.raises(ValidationError, match="no edge 'nope'"):
+        G.transport("nope")
+
+
+def test_transport_inverse_of_an_unknown_edge_names_it():
+    G = tl.constant_system(load_complex("torus"), 1, tl.Z)
+    with pytest.raises(ValidationError, match="no edge 'nope'"):
+        G.transport_inverse("nope")
+
+
 def test_rational_entries():
     K = load_complex("circle1")
     G = tl.parse_system("system q over Q rank 1\nedge a [[2/3]]\n", K)
