@@ -57,20 +57,38 @@ class DeltaComplex:
         """Whether other is this complex or has the same simplices and faces."""
         return self is other or self._simplices == other._simplices
 
+    # Accessors catch the miss rather than test first, so a hit costs nothing.
+
+    def _no_simplex(self, name: str) -> ValidationError:
+        return ValidationError(f"complex {self.name!r} has no simplex {name!r}")
+
     def dim_of(self, name: str) -> int:
-        return self._simplices[name].dim
+        try:
+            return self._simplices[name].dim
+        except KeyError:
+            raise self._no_simplex(name) from None
 
     def faces(self, name: str) -> tuple[str, ...]:
         try:
             return self._simplices[name].faces
         except KeyError:
-            raise ValidationError(f"complex {self.name!r} has no simplex {name!r}") from None
+            raise self._no_simplex(name) from None
 
     def face(self, name: str, i: int) -> str:
-        return self._simplices[name].faces[i]
+        try:
+            return self._simplices[name].faces[i]
+        except KeyError:
+            raise self._no_simplex(name) from None
+        except IndexError:
+            raise ValidationError(
+                f"simplex {name!r} of complex {self.name!r} has no face {i}"
+            ) from None
 
     def index_of(self, name: str) -> int:
-        return self._index[name]
+        try:
+            return self._index[name]
+        except KeyError:
+            raise self._no_simplex(name) from None
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(self.simplices(k)) for k in range(self.dimension + 1))

@@ -10,6 +10,10 @@ used in this package the resulting pairing satisfies
     d(c cap z) = -(dc cap z) + (-1)^k (c cap dz)
 
 so capping with a cycle anticommutes with the differentials (sign rule -1).
+
+Capping with a fixed chain is one matrix per degree, built in a single walk
+over the chain's simplices: `cap_with_fundamental_class` uses these matrices
+as its chain map, and `cap_product` applies one to a cochain.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .systems import (
     is_trivializable,
     orientation_system,
     tensor_systems,
-    tensor_vectors,
 )
 from .twisted import chain_complex, cochain_complex
 
@@ -115,11 +118,10 @@ def fundamental_class(K: DeltaComplex, w: LocalSystem) -> FundamentalClass:
     return mu
 
 
-def cap_product(K: DeltaComplex, G: LocalSystem, H: LocalSystem, k: int,
-                cochain: list, m: int, chain: list) -> list:
-    """Cap a degree-k cochain (coefficients in G) with a degree-m chain
-    (coefficients in H); the result is an (m-k)-chain with coefficients in
-    the tensor system G (x) H."""
+def _cap_matrix(K: DeltaComplex, G: LocalSystem, H: LocalSystem, k: int, m: int,
+                chain: list) -> Matrix:
+    """The matrix of c -> c cap chain, from degree-k cochains in G to
+    (m-k)-chains in G (x) H, built in one walk over the m-simplices."""
     if not (G.base.same_complex(K) and H.base.same_complex(K)):
         raise ValidationError("cap product needs systems on the same base complex")
     if G.ring != H.ring:
@@ -128,36 +130,45 @@ def cap_product(K: DeltaComplex, G: LocalSystem, H: LocalSystem, k: int,
         raise TwistlabError(f"cap degrees (k={k}, m={m}) out of range")
     ring = G.ring
     dG, dH = G.rank, H.rank
-    k_simplices = K.simplices(k)
     m_simplices = K.simplices(m)
-    if len(cochain) != len(k_simplices) * dG or len(chain) != len(m_simplices) * dH:
+    if len(chain) != len(m_simplices) * dH:
         raise TwistlabError(
-            f"cap product needs a cochain of length {len(k_simplices) * dG} and a "
-            f"chain of length {len(m_simplices) * dH}, not {len(cochain)} and {len(chain)}"
+            f"cap product needs a chain of length {len(m_simplices) * dH}, not {len(chain)}"
         )
-    out_simplices = K.simplices(m - k)
-    out_idx = {nm: i for i, nm in enumerate(out_simplices)}
-    k_idx = {nm: i for i, nm in enumerate(k_simplices)}
-    out = [ring.zero()] * (len(out_simplices) * dG * dH)
+    out_idx = {nm: i for i, nm in enumerate(K.simplices(m - k))}
+    k_idx = {nm: i for i, nm in enumerate(K.simplices(k))}
+    mat = Matrix.zeros(ring, len(out_idx) * dG * dH, len(k_idx) * dG)
     sign = -1 if (k * (m - k)) % 2 else 1
+    ident = Matrix.identity(ring, dG)
     for si, nm in enumerate(m_simplices):
         u = chain[si * dH : (si + 1) * dH]
         if all(ring.is_zero(x) for x in u):
             continue
-        back = K.range_face(nm, m - k, m)
-        front = K.range_face(nm, 0, m - k)
-        cval = cochain[k_idx[back] * dG : (k_idx[back] + 1) * dG]
-        if m - k >= 1:
-            carried = G.transport_inverse(K.subset_face(nm, (0, m - k))).mul_vec(cval)
-        else:
-            carried = cval
-        coeff = tensor_vectors(ring, carried, u)
         if sign == -1:
-            coeff = [ring.neg(x) for x in coeff]
-        base = out_idx[front] * dG * dH
-        for t, x in enumerate(coeff):
-            out[base + t] = ring.add(out[base + t], x)
-    return out
+            u = [ring.neg(x) for x in u]
+        # The block at (front face, back face) gains sign * (T^-1 (x) u).
+        back = k_idx[K.range_face(nm, m - k, m)] * dG
+        front = out_idx[K.range_face(nm, 0, m - k)] * dG * dH
+        carry = G.transport_inverse(K.subset_face(nm, (0, m - k))) if m > k else ident
+        for i, trow in enumerate(carry.rows):
+            for j, uj in enumerate(u):
+                row = mat.rows[front + i * dH + j]
+                for col, t in enumerate(trow):
+                    row[back + col] = ring.add(row[back + col], ring.mul(t, uj))
+    return mat
+
+
+def cap_product(K: DeltaComplex, G: LocalSystem, H: LocalSystem, k: int,
+                cochain: list, m: int, chain: list) -> list:
+    """Cap a degree-k cochain (coefficients in G) with a degree-m chain
+    (coefficients in H); the result is an (m-k)-chain with coefficients in
+    the tensor system G (x) H."""
+    mat = _cap_matrix(K, G, H, k, m, chain)
+    if len(cochain) != mat.ncols:
+        raise TwistlabError(
+            f"cap product needs a cochain of length {mat.ncols}, not {len(cochain)}"
+        )
+    return mat.mul_vec(cochain)
 
 
 def cap_with_fundamental_class(K: DeltaComplex, G: LocalSystem,
@@ -180,19 +191,7 @@ def cap_with_fundamental_class(K: DeltaComplex, G: LocalSystem,
         check=False,
     )
     zvec = mu.chain_vector(ring)
-    mats = {}
-    dG = G.rank
-    for j in range(n + 1):
-        k = n - j
-        rankc = cochain.rank(k)
-        mat = Matrix.zeros(ring, target.rank(j), rankc)
-        for col in range(rankc):
-            c = [ring.zero()] * rankc
-            c[col] = ring.one()
-            mat_col = cap_product(K, G, w, k, c, n, zvec)
-            for i, x in enumerate(mat_col):
-                mat.rows[i][col] = x
-        mats[j] = mat
+    mats = {j: _cap_matrix(K, G, w, n - j, n, zvec) for j in range(n + 1)}
     return ChainMapData(f"cap({mu.complex.name})", source, target, mats, -1)
 
 

@@ -199,10 +199,6 @@ def _kronecker(A: Matrix, B: Matrix) -> Matrix:
     return m
 
 
-def tensor_vectors(ring, x: list, y: list) -> list:
-    return [ring.mul(a, b) for a in x for b in y]
-
-
 def gauge_transform(G: LocalSystem, s: Gauge) -> LocalSystem:
     """T'_e = s_head * T_e * s_tail^{-1}; an isomorphic system."""
     K = G.base
@@ -247,7 +243,9 @@ def orientation_system(K: DeltaComplex) -> LocalSystem:
     Each top simplex carries the orientation of its vertex order.  Signs are
     propagated over the star of each vertex point, tracked corner by corner
     (simplex, vertex slot) so that self-glued models like the one-vertex torus
-    work, then compared along each edge inside a common top simplex.  Flatness
+    work, then compared along each edge inside a common top simplex.  One pass
+    over the top simplices collects every vertex's corners and a top simplex
+    spanning every edge; no vertex or edge rescans them.  Flatness
     of the result is asserted, not assumed: it fails exactly when the input is
     not a combinatorial manifold for this star-propagation algorithm.
     """
@@ -279,11 +277,19 @@ def orientation_system(K: DeltaComplex) -> LocalSystem:
             corner_edges[c1].append((c2, sign))
             corner_edges[c2].append((c1, sign))
 
+    # Buckets fill s-major, m-minor: corners[0] roots each vertex's sign
+    # propagation, so that order fixes the printed signs.
+    corners_at: dict[str, list[tuple[str, int]]] = {v: [] for v in K.simplices(0)}
+    spanning: dict[str, tuple[str, int, int]] = {}
+    for s in top:
+        for m, v in enumerate(K.vertices(s)):
+            corners_at[v].append((s, m))
+        for a in range(n + 1):
+            for b in range(a + 1, n + 1):
+                spanning.setdefault(K.subset_face(s, (a, b)), (s, a, b))
+
     corner_sign: dict[tuple[str, int], int] = {}
-    for v in K.simplices(0):
-        corners = [
-            (s, m) for s in top for m in range(n + 1) if K.vertex(s, m) == v
-        ]
+    for v, corners in corners_at.items():
         if not corners:
             raise ValidationError(f"vertex {v!r} lies in no top simplex")
         local = {corners[0]: 1}
@@ -309,20 +315,9 @@ def orientation_system(K: DeltaComplex) -> LocalSystem:
 
     transports = {}
     for e in K.simplices(1):
-        found = None
-        for s in top:
-            for a in range(n + 1):
-                for b in range(a + 1, n + 1):
-                    if K.subset_face(s, (a, b)) == e:
-                        found = (s, a, b)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
+        if e not in spanning:
             raise ValidationError(f"edge {e!r} lies in no top simplex")
-        s, a, b = found
+        s, a, b = spanning[e]
         val = corner_sign[(s, a)] * corner_sign[(s, b)]
         transports[e] = Matrix.from_int_rows(Z, [[val]])
     try:

@@ -1,11 +1,19 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 import twistlab as tl
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+# The benchmark's input generators and output checks, read by some tests;
+# nothing here writes under bench/.
+BENCH = ROOT / "bench"
+if str(BENCH) not in sys.path:
+    sys.path.append(str(BENCH))
 
 ALL_COMPLEXES = [
     "point",

@@ -132,3 +132,17 @@ def test_subprocess_entrypoint():
     )
     assert proc.returncode == 0
     assert b"H_1 = Z^2" in proc.stdout
+
+
+def test_map_outputs_match_the_benchmark_digests(tmp_path):
+    # The fixture maps are too small for their induced-map matrices to depend
+    # on pivot order; the benchmark's covering maps T_2n -> T_n are not.
+    import jobs
+
+    _, job_list = jobs.build("les", 0, str(tmp_path))
+    digests = jobs.load_digests("les", 0)
+    maps = [j for j in job_list if j.command == "map"]
+    assert len(maps) == 5 and all(j.id in digests for j in maps)
+    for job in maps:
+        status, text = run_cli(job.argv)
+        assert jobs.check_job(job, status, text, digests) == [], job.id

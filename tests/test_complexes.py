@@ -23,6 +23,23 @@ def test_faces_of_an_unknown_simplex_names_it():
         load_complex("torus").faces("nope")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda K: K.dim_of("nope"), "no simplex 'nope'"),
+    (lambda K: K.face("nope", 0), "no simplex 'nope'"),
+    (lambda K: K.index_of("nope"), "no simplex 'nope'"),
+    (lambda K: K.range_face("nope", 0, 0), "no simplex 'nope'"),
+    (lambda K: K.subset_face("nope", (0,)), "no simplex 'nope'"),
+    (lambda K: K.vertex("nope", 0), "no simplex 'nope'"),
+    (lambda K: K.vertices("nope"), "no simplex 'nope'"),
+    (lambda K: K.front_edge("nope"), "no simplex 'nope'"),
+    (lambda K: K.face("U", 7), "simplex 'U' of complex 'torus' has no face 7"),
+], ids=["dim_of", "face", "index_of", "range_face", "subset_face", "vertex",
+        "vertices", "front_edge", "face_index"])
+def test_accessors_name_a_missing_simplex_or_face(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call(load_complex("torus"))
+
+
 def test_unknown_face_reference():
     text = "complex bad\ndim 1\nsimplex 0 v\nsimplex 1 a v q\n"
     with pytest.raises(ValidationError, match="unknown face 'q'"):

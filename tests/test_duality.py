@@ -76,6 +76,70 @@ def test_cap_rejects_a_cochain_or_chain_of_the_wrong_length():
             tl.cap_product(K, G, G, 1, cochain, 2, chain)
 
 
+def per_simplex_cap(K, G, H, k, cochain, m, chain):
+    """Reference cap product: one walk over the m-simplices per cochain,
+    carrying the cochain's value on each back face to the front vertex and
+    tensoring it with the chain coefficient."""
+    ring = G.ring
+    dG, dH = G.rank, H.rank
+    out_idx = {nm: i for i, nm in enumerate(K.simplices(m - k))}
+    k_idx = {nm: i for i, nm in enumerate(K.simplices(k))}
+    out = [ring.zero()] * (len(out_idx) * dG * dH)
+    sign = -1 if (k * (m - k)) % 2 else 1
+    for si, nm in enumerate(K.simplices(m)):
+        u = chain[si * dH : (si + 1) * dH]
+        back = k_idx[K.range_face(nm, m - k, m)]
+        cval = cochain[back * dG : (back + 1) * dG]
+        if m > k:
+            cval = G.transport_inverse(K.subset_face(nm, (0, m - k))).mul_vec(cval)
+        base = out_idx[K.range_face(nm, 0, m - k)] * dG * dH
+        for t, x in enumerate([ring.mul(a, b) for a in cval for b in u]):
+            out[base + t] = ring.add(out[base + t], x if sign == 1 else ring.neg(x))
+    return out
+
+
+def _random_entries(ring, n, rng):
+    # Half zeros, so whole chain blocks vanish; fractions over Q.
+    out = []
+    for _ in range(n):
+        x = ring.from_int(rng.choice((0, 0, 0, 1, -1, 2, -3)))
+        out.append(ring.exact_div(x, ring.from_int(rng.randint(1, 3))) if ring == tl.Q else x)
+    return out
+
+
+@pytest.mark.parametrize("ring", [tl.Z, tl.Q, tl.prime_field(5)], ids=str)
+def test_cap_matches_the_per_simplex_reference(ring, rng):
+    for name in MANIFOLDS:
+        K = load_complex(name)
+        n = K.dimension
+        mu = tl.fundamental_class(K, tl.orientation_system(K))
+        w = tl.cast_system(mu.system, ring)
+        zvec = mu.chain_vector(ring)
+        for rank in (1, 2):
+            G = random_flat_system(name, rank, ring, rng)
+            H = random_flat_system(name, 3 - rank, ring, rng)
+            for k in range(n + 1):
+                for m in range(k, n + 1):
+                    c = _random_entries(ring, len(K.simplices(k)) * G.rank, rng)
+                    z = _random_entries(ring, len(K.simplices(m)) * H.rank, rng)
+                    assert tl.cap_product(K, G, H, k, c, m, z) == per_simplex_cap(
+                        K, G, H, k, c, m, z
+                    ), (name, rank, k, m)
+            cap = tl.cap_with_fundamental_class(K, G, mu)
+            for j in range(n + 1):
+                width = len(K.simplices(n - j)) * rank
+                cols = []
+                for col in range(width):
+                    unit = [ring.zero()] * width
+                    unit[col] = ring.one()
+                    cols.append(per_simplex_cap(K, G, w, n - j, unit, n, zvec))
+                mat = cap.matrix(j)
+                assert (mat.nrows, mat.ncols) == (len(K.simplices(j)) * rank, width)
+                assert mat.rows == [[c[i] for c in cols] for i in range(mat.nrows)], (
+                    name, rank, j,
+                )
+
+
 def test_system_on_a_different_complex_of_the_same_name_is_rejected():
     G = load_system("minus1.sys", load_complex("circle1"))
     impostor = tl.parse_complex(

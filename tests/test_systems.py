@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import twistlab as tl
@@ -262,3 +264,59 @@ def test_tensor_of_flat_is_flat_and_rank_multiplies(rng):
     B = random_flat_system("torus", 3, tl.Z, rng)
     AB = tl.tensor_systems(A, B)  # constructor re-validates flatness
     assert AB.rank == 6
+
+
+def quadratic_orientation_signs(K) -> dict:
+    """Reference orientation character: each vertex's corners and each edge's
+    spanning simplex found by rescanning every top simplex, as a dict of
+    edge -> sign."""
+    n = K.dimension
+    top = K.simplices(n)
+    corner_edges = {(s, m): [] for s in top for m in range(n + 1)}
+    for f, slots in K.cofaces(n - 1).items():
+        (s1, i1), (s2, i2) = slots
+        sign = -((-1) ** (i1 + i2))
+        for mf in range(n):
+            c1 = (s1, mf + 1 if i1 <= mf else mf)
+            c2 = (s2, mf + 1 if i2 <= mf else mf)
+            corner_edges[c1].append((c2, sign))
+            corner_edges[c2].append((c1, sign))
+    corner_sign = {}
+    for v in K.simplices(0):
+        corners = [(s, m) for s in top for m in range(n + 1) if K.vertex(s, m) == v]
+        local = {corners[0]: 1}
+        queue = [corners[0]]
+        while queue:
+            cur = queue.pop(0)
+            for other, sg in corner_edges[cur]:
+                if other not in local:
+                    local[other] = local[cur] * sg
+                    queue.append(other)
+        corner_sign.update(local)
+    signs = {}
+    for e in K.simplices(1):
+        s, a, b = next(
+            (s, a, b) for s in top for a in range(n + 1) for b in range(a + 1, n + 1)
+            if K.subset_face(s, (a, b)) == e
+        )
+        signs[e] = corner_sign[(s, a)] * corner_sign[(s, b)]
+    return signs
+
+
+def _generated_orientation_inputs():
+    from inputs import klein_bottle, kuhn_torus
+
+    for make, args in ((kuhn_torus, (4, 2)), (klein_bottle, (4, 4)), (kuhn_torus, (2, 3))):
+        for seed in range(3):
+            G = make(*args)
+            G.shuffle(random.Random(f"orientation/{seed}"))
+            yield f"{G.name} shuffle {seed}", tl.parse_complex(G.text())
+
+
+def test_orientation_matches_the_quadratic_scan():
+    cases = [(name, load_complex(name)) for name in MANIFOLDS]
+    cases += list(_generated_orientation_inputs())
+    for label, K in cases:
+        w = tl.orientation_system(K)
+        got = {e: T.rows for e, T in w.transports.items()}
+        assert got == {e: [[x]] for e, x in quadratic_orientation_signs(K).items()}, label
