@@ -348,7 +348,26 @@ class ManifoldReport:
         return self.pure and self.two_cofaces and self.dual_connected
 
 
+def _propagate_signs(root, edges) -> dict | None:
+    """Sign labels on the component of root, found breadth first: label[root] = 1
+    and label[b] = sign * label[a] for each (b, sign) in edges[a].  None when an
+    edge contradicts the labels."""
+    label = {root: 1}
+    queue = [root]
+    for a in queue:
+        for b, sign in edges[a]:
+            want = sign * label[a]
+            if b not in label:
+                label[b] = want
+                queue.append(b)
+            elif label[b] != want:
+                return None
+    return label
+
+
 def pseudomanifold_check(K: DeltaComplex) -> ManifoldReport:
+    """Purity, two cofaces on every (n-1)-simplex, and dual connectivity: the
+    top simplices are one component when joined across faces with two cofaces."""
     n = K.dimension
     if n < 0:
         return ManifoldReport(n, False, False, False)
@@ -363,28 +382,16 @@ def pseudomanifold_check(K: DeltaComplex) -> ManifoldReport:
     pure = all(nm in reached for nm in K.all_simplices())
 
     two = True
-    adj: dict[str, set[str]] = {nm: set() for nm in top}
+    adj: dict[str, list] = {nm: [] for nm in top}
     if n >= 1:
-        cof = K.cofaces(n - 1)
-        for f, slots in cof.items():
+        for slots in K.cofaces(n - 1).values():
             if len(slots) != 2:
                 two = False
-            if len(slots) == 2:
-                a, b = slots[0][0], slots[1][0]
-                adj[a].add(b)
-                adj[b].add(a)
-
-    connected = bool(top)
-    if top:
-        seen = {top[0]}
-        stack = [top[0]]
-        while stack:
-            cur = stack.pop()
-            for nb in sorted(adj[cur]):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        connected = len(seen) == len(top)
+                continue
+            a, b = slots[0][0], slots[1][0]
+            adj[a].append((b, 1))
+            adj[b].append((a, 1))
+    connected = bool(top) and len(_propagate_signs(top[0], adj)) == len(top)
     return ManifoldReport(n, pure, two, connected)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import DeltaComplex, pseudomanifold_check
+from .complexes import DeltaComplex, _propagate_signs, pseudomanifold_check
 from .errors import TwistlabError, ValidationError
 from .homology import ChainMapData, FreeComplex, ModulePresentation, is_quasi_iso
 from .matrices import Matrix
@@ -32,7 +32,7 @@ from .systems import (
     orientation_system,
     tensor_systems,
 )
-from .twisted import chain_complex, cochain_complex
+from .twisted import _require_base, chain_complex, cochain_complex
 
 # Calibrated Leibniz signs: s1 is degree-independent, s2 depends only on the
 # cochain degree k.  Asserted across random instances in the test suite.
@@ -63,14 +63,18 @@ class FundamentalClass:
 def fundamental_class(K: DeltaComplex, w: LocalSystem) -> FundamentalClass:
     """Solve for +-1 coefficients making the top chain a cycle over w.
 
-    Each interior (n-1)-simplex ties its two coface coefficients together; the
-    propagation is consistent exactly when w is the orientation character.
+    Each (n-1)-simplex, with coface slots (s1, i1) and (s2, i2), ties
+    mu(s2) = -coef(s1, i1) * coef(s2, i2) * mu(s1); `_propagate_signs` solves the
+    ties from mu = 1 on the first top simplex, and they are consistent exactly
+    when w is the orientation character.  The boundary of mu, summed face by
+    face, then certifies the cycle; no chain complex is built.
     """
     report = pseudomanifold_check(K)
     if not report.closed_pseudomanifold or K.dimension < 1:
         raise ValidationError(f"{K.name!r} is not a closed pseudomanifold")
     if w.rank != 1 or w.ring != Z:
         raise ValidationError("fundamental class needs a rank-1 sign system over Z")
+    _require_base(K, w)
     n = K.dimension
     top = K.simplices(n)
 
@@ -79,43 +83,22 @@ def fundamental_class(K: DeltaComplex, w: LocalSystem) -> FundamentalClass:
             return w.transport(K.front_edge(simplex)).rows[0][0]
         return -1 if face_index % 2 else 1
 
-    unit = {top[0]: 1}
-    queue = [top[0]]
-    cof = K.cofaces(n - 1)
-    incident: dict[str, list] = {s: [] for s in top}
-    for f, slots in cof.items():
-        (s1, i1), (s2, i2) = slots
-        incident[s1].append((s2, coef(s1, i1), coef(s2, i2)))
-        incident[s2].append((s1, coef(s2, i2), coef(s1, i1)))
-    while queue:
-        cur = queue.pop(0)
-        for other, c_cur, c_other in incident[cur]:
-            want = -c_cur * unit[cur] * c_other  # c_other is +-1, so 1/c = c
-            if other == cur:
-                if c_cur != -c_other:
-                    raise ValidationError(
-                        f"no unit-coefficient cycle on {K.name!r} for system {w.name!r}"
-                    )
-                continue
-            if other in unit:
-                if unit[other] != want:
-                    raise ValidationError(
-                        f"no unit-coefficient cycle on {K.name!r} for system {w.name!r}"
-                    )
-            else:
-                unit[other] = want
-                queue.append(other)
-    if len(unit) != len(top):
-        raise ValidationError(f"top simplices of {K.name!r} are not dual-connected")
-
-    mu = FundamentalClass(K, w, unit)
-    C = chain_complex(K, w)
-    bd = C.diff(n).mul_vec(mu.chain_vector(Z))
-    if any(x != 0 for x in bd):
-        raise ValidationError(
-            f"no unit-coefficient cycle on {K.name!r} for system {w.name!r}"
-        )
-    return mu
+    ties: dict[str, list[tuple[str, int]]] = {s: [] for s in top}
+    for (s1, i1), (s2, i2) in K.cofaces(n - 1).values():
+        sign = -coef(s1, i1) * coef(s2, i2)
+        ties[s1].append((s2, sign))
+        ties[s2].append((s1, sign))
+    unit = _propagate_signs(top[0], ties)
+    if unit is not None:
+        boundary = dict.fromkeys(K.simplices(n - 1), 0)
+        for s in top:
+            for i, f in enumerate(K.faces(s)):
+                boundary[f] += coef(s, i) * unit[s]
+        if not any(boundary.values()):
+            return FundamentalClass(K, w, unit)
+    raise ValidationError(
+        f"no unit-coefficient cycle on {K.name!r} for system {w.name!r}"
+    )
 
 
 def _cap_matrix(K: DeltaComplex, G: LocalSystem, H: LocalSystem, k: int, m: int,
@@ -183,12 +166,11 @@ def cap_with_fundamental_class(K: DeltaComplex, G: LocalSystem,
     GH = tensor_systems(G, w)
     target = chain_complex(K, GH)
     cochain = cochain_complex(K, G)
-    # Degree j holds C^{n-j}; the cochain complex already checked d.d = 0.
+    # Degree j holds C^{n-j}.
     source = FreeComplex(
         f"{cochain.label}[rev]", ring, "chain",
         {n - k: cochain.rank(k) for k in cochain.degrees()},
         {n - k: cochain.diff(k) for k in cochain.degrees()},
-        check=False,
     )
     zvec = mu.chain_vector(ring)
     mats = {j: _cap_matrix(K, G, w, n - j, n, zvec) for j in range(n + 1)}

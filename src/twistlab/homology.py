@@ -43,8 +43,7 @@ class FreeComplex:
     """
 
     def __init__(self, label: str, ring: Ring, direction: str,
-                 ranks: dict[int, int], diffs: dict[int, Matrix],
-                 check: bool = True):
+                 ranks: dict[int, int], diffs: dict[int, Matrix]):
         if direction not in ("chain", "cochain"):
             raise TwistlabError(f"bad direction {direction!r}")
         self.label = label
@@ -54,8 +53,7 @@ class FreeComplex:
         self._diffs = diffs
         self._homology: dict[int, tuple] = {}
         self._diagonals: dict[int, tuple[list, int]] = {}
-        if check:
-            self.assert_squares_zero()
+        self.assert_squares_zero()
 
     def rank(self, k: int) -> int:
         return self._ranks.get(k, 0)

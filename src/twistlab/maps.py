@@ -31,12 +31,6 @@ class SimplicialMap:
         self.assignments: dict[str, Assignment] = assignments
         _validate_map(self)
 
-    def __call__(self, simplex: str) -> Assignment:
-        return self.assignments[simplex]
-
-    def image_vertex(self, v: str) -> str:
-        return self.assignments[v].image
-
 
 def _face_assignment(m: SimplicialMap, name: str, i: int) -> Assignment:
     """Assignment forced on face_i(name) by the assignment of name."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import DeltaComplex, _content_lines, pseudomanifold_check
+from .complexes import DeltaComplex, _content_lines, _propagate_signs, pseudomanifold_check
 from .errors import ParseError, RingMismatchError, TwistlabError, ValidationError
 from .maps import SimplicialMap
 from .matrices import Matrix, inverse, is_invertible
@@ -90,7 +90,10 @@ class Gauge:
     matrices: dict[str, Matrix]
 
     def at(self, vertex: str) -> Matrix:
-        return self.matrices[vertex]
+        try:
+            return self.matrices[vertex]
+        except KeyError:
+            raise ValidationError(f"gauge misses vertex {vertex!r}") from None
 
 
 def constant_system(K: DeltaComplex, d: int, ring: Ring) -> LocalSystem:
@@ -241,7 +244,8 @@ def orientation_system(K: DeltaComplex) -> LocalSystem:
     """Rank-1 sign system recording whether transport preserves orientation.
 
     Each top simplex carries the orientation of its vertex order.  Signs are
-    propagated over the star of each vertex point, tracked corner by corner
+    propagated over the star of each vertex point by `_propagate_signs`,
+    rooted at the vertex's first corner and tracked corner by corner
     (simplex, vertex slot) so that self-glued models like the one-vertex torus
     work, then compared along each edge inside a common top simplex.  One pass
     over the top simplices collects every vertex's corners and a top simplex
@@ -266,10 +270,7 @@ def orientation_system(K: DeltaComplex) -> LocalSystem:
     for s in top:
         for m in range(n + 1):
             corner_edges[(s, m)] = []
-    for f, slots in cof.items():
-        if len(slots) != 2:
-            raise ValidationError(f"face {f!r} does not have exactly two cofaces")
-        (s1, i1), (s2, i2) = slots
+    for (s1, i1), (s2, i2) in cof.values():
         sign = _signed_coface_key(i1, i2)
         for mf in range(n):
             c1 = (s1, mf + 1 if i1 <= mf else mf)
@@ -292,20 +293,12 @@ def orientation_system(K: DeltaComplex) -> LocalSystem:
     for v, corners in corners_at.items():
         if not corners:
             raise ValidationError(f"vertex {v!r} lies in no top simplex")
-        local = {corners[0]: 1}
-        queue = [corners[0]]
-        while queue:
-            cur = queue.pop(0)
-            for other, sg in corner_edges[cur]:
-                want = local[cur] * sg
-                if other not in local:
-                    local[other] = want
-                    queue.append(other)
-                elif local[other] != want:
-                    raise ValidationError(
-                        f"input {K.name!r} is not a combinatorial manifold "
-                        f"for this algorithm (star of {v!r} is inconsistent)"
-                    )
+        local = _propagate_signs(corners[0], corner_edges)
+        if local is None:
+            raise ValidationError(
+                f"input {K.name!r} is not a combinatorial manifold "
+                f"for this algorithm (star of {v!r} is inconsistent)"
+            )
         if len(local) != len(corners):
             raise ValidationError(
                 f"star of vertex {v!r} is not connected through "
@@ -331,8 +324,10 @@ def orientation_system(K: DeltaComplex) -> LocalSystem:
 def is_trivializable(G: LocalSystem):
     """Decide s_head = T_e * s_tail solvability for a rank-1 sign system.
 
-    Returns (flag, gauge): the witness gauge satisfies
-    gauge_transform(G, gauge) == constant when flag is True.
+    `_propagate_signs` labels each component of the 1-skeleton from its first
+    vertex; a contradicting edge means no gauge exists.  Returns (flag, gauge):
+    the witness gauge satisfies gauge_transform(G, gauge) == constant when
+    flag is True.
     """
     if G.rank != 1 or G.ring != Z:
         raise ValidationError("trivializability test needs a rank-1 system over Z")
@@ -340,32 +335,19 @@ def is_trivializable(G: LocalSystem):
         if T.rows[0][0] not in (1, -1):
             raise ValidationError(f"transport on {e!r} is not a sign")
     K = G.base
+    edges: dict[str, list[tuple[str, int]]] = {v: [] for v in K.simplices(0)}
+    for e in K.simplices(1):
+        tail, head = K.edge_ends(e)
+        t = G.transport(e).rows[0][0]
+        edges[tail].append((head, t))
+        edges[head].append((tail, t))
     s: dict[str, int] = {}
-    edges_at: dict[str, list[str]] = {v: [] for v in K.simplices(0)}
-    for e in K.simplices(1):
-        tail, head = K.edge_ends(e)
-        edges_at[tail].append(e)
-        edges_at[head].append(e)
     for root in K.simplices(0):
-        if root in s:
-            continue
-        s[root] = 1
-        queue = [root]
-        while queue:
-            cur = queue.pop(0)
-            for e in edges_at[cur]:
-                tail, head = K.edge_ends(e)
-                t = G.transport(e).rows[0][0]
-                if tail in s and head not in s:
-                    s[head] = t * s[tail]
-                    queue.append(head)
-                elif head in s and tail not in s:
-                    s[tail] = t * s[head]
-                    queue.append(tail)
-    for e in K.simplices(1):
-        tail, head = K.edge_ends(e)
-        if s[head] != G.transport(e).rows[0][0] * s[tail]:
-            return False, None
+        if root not in s:
+            component = _propagate_signs(root, edges)
+            if component is None:
+                return False, None
+            s.update(component)
     gauge = Gauge({v: Matrix.from_int_rows(Z, [[s[v]]]) for v in s})
     return True, gauge
 

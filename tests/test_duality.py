@@ -40,6 +40,51 @@ def test_fundamental_class_rp2_needs_twist():
         tl.fundamental_class(K, tl.constant_system(K, 1, tl.Z))
 
 
+def test_fundamental_class_rejects_a_system_on_another_base():
+    # klein has the torus's edge names, so its transports resolve on the torus;
+    # the error must name the base, not a failed cycle
+    T, Kb = load_complex("torus"), load_complex("klein")
+    with pytest.raises(ValidationError, match="lives on 'klein', not 'torus'"):
+        tl.fundamental_class(T, tl.orientation_system(Kb))
+
+
+def test_fundamental_class_certificate_is_live(monkeypatch):
+    # With the propagation's own contradiction test switched off, the boundary
+    # sum must still reject the untwisted class of rp2; and no chain complex
+    # is built on the way.
+    from twistlab import duality, twisted
+
+    calls = []
+
+    def propagate_without_contradictions(root, edges):
+        calls.append(root)
+        label = {root: 1}
+        queue = [root]
+        for a in queue:
+            for b, sign in edges[a]:
+                if b not in label:
+                    label[b] = sign * label[a]
+                    queue.append(b)
+        return label
+
+    builds = []
+    build = twisted.TwistedComplex.__init__
+
+    def counting_build(self, *args, **kwargs):
+        builds.append(args[0])
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(duality, "_propagate_signs", propagate_without_contradictions)
+    monkeypatch.setattr(twisted.TwistedComplex, "__init__", counting_build)
+    K = load_complex("rp2")
+    w = tl.orientation_system(K)
+    assert set(tl.fundamental_class(K, w).coefficients.values()) <= {1, -1}
+    with pytest.raises(ValidationError, match="no unit-coefficient cycle"):
+        tl.fundamental_class(K, tl.constant_system(K, 1, tl.Z))
+    assert len(calls) == 2
+    assert builds == []
+
+
 def test_cap_with_unit_cochain_is_identity():
     K = load_complex("sphere2")
     ring = tl.Z
@@ -281,7 +326,7 @@ def test_cap_naturality_under_rotation():
     w = tl.orientation_system(C)
     mu = tl.fundamental_class(C, w)
     # the rotation carries the fundamental cycle to itself on the nose
-    rotated = {rot(nm).image: v for nm, v in mu.coefficients.items()}
+    rotated = {rot.assignments[nm].image: v for nm, v in mu.coefficients.items()}
     assert rotated == mu.coefficients
     cap = tl.cap_with_fundamental_class(C, G, mu)
     chains, cochains = tl.induced_chain_map(rot, tl.tensor_systems(G, tl.cast_system(w, tl.Z)))

@@ -6,6 +6,7 @@ import twistlab as tl
 from twistlab.errors import ParseError, RingMismatchError, ValidationError
 
 from conftest import (
+    ALL_COMPLEXES,
     MANIFOLDS,
     ORIENTABLE,
     fixture_text,
@@ -195,6 +196,8 @@ def test_is_trivializable_examples():
     C1 = load_complex("circle1")
     flag, gauge = tl.is_trivializable(tl.constant_system(C1, 1, tl.Z))
     assert flag and gauge.at("v").rows == [[1]]
+    with pytest.raises(ValidationError, match="'nope'"):
+        gauge.at("nope")
     flag2, g2 = tl.is_trivializable(load_system("minus1.sys", C1))
     assert not flag2 and g2 is None
 
@@ -320,3 +323,150 @@ def test_orientation_matches_the_quadratic_scan():
         w = tl.orientation_system(K)
         got = {e: T.rows for e, T in w.transports.items()}
         assert got == {e: [[x]] for e, x in quadratic_orientation_signs(K).items()}, label
+
+
+# Reference copies of the searches that pseudomanifold_check, is_trivializable
+# and fundamental_class ran before they shared one sign propagation: a
+# depth-first search over sorted neighbour sets, a breadth-first search that
+# checks every edge afterwards, and a breadth-first search certified by the
+# top differential of the whole chain complex.
+
+
+def reference_pseudomanifold_check(K):
+    n = K.dimension
+    if n < 0:
+        return tl.ManifoldReport(n, False, False, False)
+    top = K.simplices(n)
+    reached = set(top)
+    for k in range(n, 0, -1):
+        for nm in K.simplices(k):
+            if nm in reached:
+                reached.update(K.faces(nm))
+    pure = all(nm in reached for nm in K.all_simplices())
+    two = True
+    adj = {nm: set() for nm in top}
+    if n >= 1:
+        for slots in K.cofaces(n - 1).values():
+            if len(slots) != 2:
+                two = False
+            if len(slots) == 2:
+                a, b = slots[0][0], slots[1][0]
+                adj[a].add(b)
+                adj[b].add(a)
+    connected = bool(top)
+    if top:
+        seen = {top[0]}
+        stack = [top[0]]
+        while stack:
+            cur = stack.pop()
+            for nb in sorted(adj[cur]):
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        connected = len(seen) == len(top)
+    return tl.ManifoldReport(n, pure, two, connected)
+
+
+def reference_is_trivializable(G):
+    K = G.base
+    s = {}
+    edges_at = {v: [] for v in K.simplices(0)}
+    for e in K.simplices(1):
+        tail, head = K.edge_ends(e)
+        edges_at[tail].append(e)
+        edges_at[head].append(e)
+    for root in K.simplices(0):
+        if root in s:
+            continue
+        s[root] = 1
+        queue = [root]
+        while queue:
+            cur = queue.pop(0)
+            for e in edges_at[cur]:
+                tail, head = K.edge_ends(e)
+                t = G.transport(e).rows[0][0]
+                if tail in s and head not in s:
+                    s[head] = t * s[tail]
+                    queue.append(head)
+                elif head in s and tail not in s:
+                    s[tail] = t * s[head]
+                    queue.append(tail)
+    for e in K.simplices(1):
+        tail, head = K.edge_ends(e)
+        if s[head] != G.transport(e).rows[0][0] * s[tail]:
+            return False, None
+    return True, tl.Gauge({v: tl.Matrix.from_int_rows(tl.Z, [[s[v]]]) for v in s})
+
+
+def reference_fundamental_class(K, w):
+    if not reference_pseudomanifold_check(K).closed_pseudomanifold or K.dimension < 1:
+        raise ValidationError(f"{K.name!r} is not a closed pseudomanifold")
+    n = K.dimension
+    top = K.simplices(n)
+    no_cycle = f"no unit-coefficient cycle on {K.name!r} for system {w.name!r}"
+
+    def coef(simplex, face_index):
+        if face_index == 0:
+            return w.transport(K.front_edge(simplex)).rows[0][0]
+        return -1 if face_index % 2 else 1
+
+    unit = {top[0]: 1}
+    queue = [top[0]]
+    incident = {s: [] for s in top}
+    for (s1, i1), (s2, i2) in K.cofaces(n - 1).values():
+        incident[s1].append((s2, coef(s1, i1), coef(s2, i2)))
+        incident[s2].append((s1, coef(s2, i2), coef(s1, i1)))
+    while queue:
+        cur = queue.pop(0)
+        for other, c_cur, c_other in incident[cur]:
+            want = -c_cur * unit[cur] * c_other
+            if other == cur:
+                if c_cur != -c_other:
+                    raise ValidationError(no_cycle)
+                continue
+            if other in unit:
+                if unit[other] != want:
+                    raise ValidationError(no_cycle)
+            else:
+                unit[other] = want
+                queue.append(other)
+    if len(unit) != len(top):
+        raise ValidationError(f"top simplices of {K.name!r} are not dual-connected")
+    C = tl.chain_complex(K, w)
+    if any(C.diff(n).mul_vec([unit[nm] for nm in top])):
+        raise ValidationError(no_cycle)
+    return tl.FundamentalClass(K, w, unit)
+
+
+def _class_or_error(fundamental_class, K, w):
+    try:
+        return list(fundamental_class(K, w).coefficients.items())
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _gauge_items(result):
+    flag, gauge = result
+    return flag, None if gauge is None else list(gauge.matrices.items())
+
+
+def test_sign_propagation_matches_the_reference_loops():
+    fixtures = [(name, load_complex(name)) for name in ALL_COMPLEXES]
+    manifolds = [(name, load_complex(name)) for name in MANIFOLDS]
+    manifolds += list(_generated_orientation_inputs())
+    for label, K in fixtures + manifolds:
+        assert tl.pseudomanifold_check(K) == reference_pseudomanifold_check(K), label
+    systems = [
+        (label, K, G)
+        for label, K in manifolds
+        for G in (tl.orientation_system(K), tl.constant_system(K, 1, tl.Z))
+    ]
+    systems += [(name, K, G) for name, K in fixtures for G in sign_systems_of(name)]
+    for label, K, G in systems:
+        where = f"{label} {G.name}"
+        assert _gauge_items(tl.is_trivializable(G)) == _gauge_items(
+            reference_is_trivializable(G)
+        ), where
+        assert _class_or_error(tl.fundamental_class, K, G) == _class_or_error(
+            reference_fundamental_class, K, G
+        ), where

@@ -290,7 +290,7 @@ def test_map_face_compatibility_enforced():
     a = {nm: Assignment("p", None if D.dim_of(nm) == 0 else tuple([0] * (D.dim_of(nm) + 1)))
          for nm in D.all_simplices()}
     m = SimplicialMap("ok", D, P, a)
-    assert m("T").degenerate
+    assert m.assignments["T"].degenerate
     bad = dict(a)
     bad["T"] = Assignment("p", (0, 0))
     with pytest.raises(ValidationError):
