@@ -8,6 +8,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -359,11 +360,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run_cli(argv: list[str]) -> tuple[int, str]:
-    """Dispatch one invocation; returns (exit status, rendered report)."""
-    parser = build_parser()
+    """Dispatch one invocation; returns (exit status, rendered report).
+
+    One parser serves every call in a process: it is built on the first call
+    (not at import) and reused, since building it costs far more than parsing
+    with it.  Parsing leaves no state in it.  `build_parser` still returns a
+    fresh parser, so a caller that changes one does not change this one.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return (int(exc.code) if exc.code else 0), ""
     out: list[str] = []

@@ -40,6 +40,7 @@ class DeltaComplex:
         self._index = {
             nm: i for k in self._by_dim for i, nm in enumerate(self._by_dim[k])
         }
+        self._manifold_report: ManifoldReport | None = None
 
     # -- structure access ----------------------------------------------
 
@@ -336,7 +337,7 @@ def subcomplex_as_complex(P: SubcomplexPair, new_name: str) -> DeltaComplex:
 # -- pseudomanifold recognition ---------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ManifoldReport:
     dimension: int
     pure: bool
@@ -367,7 +368,15 @@ def _propagate_signs(root, edges) -> dict | None:
 
 def pseudomanifold_check(K: DeltaComplex) -> ManifoldReport:
     """Purity, two cofaces on every (n-1)-simplex, and dual connectivity: the
-    top simplices are one component when joined across faces with two cofaces."""
+    top simplices are one component when joined across faces with two cofaces.
+
+    The complex is immutable, so the report is computed once and kept on it."""
+    if K._manifold_report is None:
+        K._manifold_report = _check_pseudomanifold(K)
+    return K._manifold_report
+
+
+def _check_pseudomanifold(K: DeltaComplex) -> ManifoldReport:
     n = K.dimension
     if n < 0:
         return ManifoldReport(n, False, False, False)

@@ -10,13 +10,20 @@ the rank, which is all that ranks and invariant factors need.
 
 Storage is dense (a list of row lists), but the matrices that arise are
 sparse: a boundary matrix of a rank-d local system has at most (k+1)*d^2
-nonzeros per column.  So products and the column operations of SNF visit
-only nonzero entries.  Each product entry is still summed over the inner
-index in increasing order.
+nonzeros per column.  So products visit only nonzero entries, and every row
+and column operation of SNF updates, in place, only the positions where the
+row or column being added is nonzero; adding zero would leave the entry as
+it is.  Each product entry is still summed over the inner index in
+increasing order, and the pivots and operations are those of a dense sweep.
+
+Entries are canonical ring elements (see `Ring`), so an entry is zero
+exactly when it is falsy, and zero tests here read `not a` instead of
+calling the ring.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import CapacityError, RingMismatchError, TwistlabError
@@ -93,8 +100,7 @@ class Matrix:
         return f"Matrix({self.ring}, {self.nrows}x{self.ncols})"
 
     def is_zero(self):
-        rg = self.ring
-        return all(rg.is_zero(x) for row in self.rows for x in row)
+        return not any(map(any, self.rows))
 
     def entry(self, i, j):
         return self.rows[i][j]
@@ -113,17 +119,17 @@ class Matrix:
                 f"shape mismatch {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}"
             )
         rg = self.ring
-        zero, add, mul, is_zero = rg.zero(), rg.add, rg.mul, rg.is_zero
+        zero, add, mul = rg.zero(), rg.add, rg.mul
         n = other.ncols
         # Row k of `other` as its nonzero (j, b) pairs; each nonzero a = A[i][k]
         # adds a*b into out[i][j], in the same order over k as a dot product.
-        bnz = [[(j, b) for j, b in enumerate(brow) if not is_zero(b)] for brow in other.rows]
+        bnz = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.rows]
         out = []
         for arow in self.rows:
             row = [zero] * n
-            for a, pairs in zip(arow, bnz):
-                if pairs and not is_zero(a):
-                    for j, b in pairs:
+            for k, a in enumerate(arow):
+                if a:
+                    for j, b in bnz[k]:
                         row[j] = add(row[j], mul(a, b))
             out.append(row)
         m = Matrix(rg, out)
@@ -136,14 +142,14 @@ class Matrix:
                 f"shape mismatch {self.nrows}x{self.ncols} * vector of length {len(vec)}"
             )
         rg = self.ring
-        zero, add, mul, is_zero = rg.zero(), rg.add, rg.mul, rg.is_zero
-        nz = [(k, x) for k, x in enumerate(vec) if not is_zero(x)]
+        zero, add, mul = rg.zero(), rg.add, rg.mul
+        nz = [(k, x) for k, x in enumerate(vec) if x]
         out = []
         for row in self.rows:
             acc = zero
             for k, x in nz:
                 a = row[k]
-                if not is_zero(a):
+                if a:
                     acc = add(acc, mul(a, x))
             out.append(acc)
         return out
@@ -267,8 +273,8 @@ class SNF:
             d = diag[i] if i < len(diag) else rg.zero()
             for j in range(B.ncols):
                 c = C.rows[i][j]
-                if rg.is_zero(d):
-                    if not rg.is_zero(c):
+                if not d:
+                    if c:
                         return None
                 else:
                     if rg.is_field:
@@ -301,11 +307,11 @@ def _find_pivot_z(rows, t, m, n):
     return best[1], best[2]
 
 
-def _find_pivot_field(rows, t, m, n, rg):
+def _find_pivot_field(rows, t, m, n):
     for i in range(t, m):
         ri = rows[i]
         for j in range(t, n):
-            if not rg.is_zero(ri[j]):
+            if ri[j]:
                 return i, j
     return None
 
@@ -321,11 +327,27 @@ def _swap_cols(mat, i, j):
             row[i], row[j] = row[j], row[i]
 
 
-def _rows_with_nonzero(mat, t, rg):
+def _rows_with_nonzero(mat, t):
     """The rows of mat whose entry in column t is nonzero: the only rows a
     column operation col_j -= c * col_t changes.  A sweep over j != t leaves
     column t as it is, so one list serves the whole sweep."""
-    return [row for row in mat if not rg.is_zero(row[t])]
+    return [row for row in mat if row[t]]
+
+
+def _add_multiple(dst, src, c, op, mul):
+    """The row operation dst[j] = op(dst[j], mul(c, src[j])), with op an
+    addition or a subtraction, made in place at the positions where src is
+    nonzero: elsewhere it would add zero."""
+    for j, y in enumerate(src):
+        if y:
+            dst[j] = op(dst[j], mul(c, y))
+
+
+def _scale(row, c, mul):
+    """row[j] = mul(c, row[j]) in place at the nonzero positions."""
+    for j, y in enumerate(row):
+        if y:
+            row[j] = mul(c, y)
 
 
 def _move_pivot(D, T, t, pi, pj):
@@ -398,42 +420,44 @@ def _eliminate(D, T, m, n, rg):
 
 def _snf_field(D, T, m, n, rg):
     U, Ut, V, Vi = T or (None,) * 4
+    add, sub, mul = rg.add, rg.sub, rg.mul
     t = 0
     while True:
-        piv = _find_pivot_field(D, t, m, n, rg)
+        piv = _find_pivot_field(D, t, m, n)
         if piv is None:
             break
         _move_pivot(D, T, t, *piv)
         p = D[t][t]
         inv = rg.inv(p)
-        D[t] = [rg.mul(inv, x) for x in D[t]]
+        _scale(D[t], inv, mul)
         if T:
-            U[t] = [rg.mul(inv, x) for x in U[t]]
-            Ut[t] = [rg.mul(p, x) for x in Ut[t]]
+            _scale(U[t], inv, mul)
+            _scale(Ut[t], p, mul)
         for i in range(m):
-            if i != t and not rg.is_zero(D[i][t]):
-                c = D[i][t]
-                D[i] = [rg.sub(x, rg.mul(c, y)) for x, y in zip(D[i], D[t])]
+            c = D[i][t]
+            if c and i != t:
+                _add_multiple(D[i], D[t], c, sub, mul)
                 if T:
-                    U[i] = [rg.sub(x, rg.mul(c, y)) for x, y in zip(U[i], U[t])]
-                    Ut[t] = [rg.add(x, rg.mul(c, y)) for x, y in zip(Ut[t], Ut[i])]
-        drows = _rows_with_nonzero(D, t, rg)
-        vrows = _rows_with_nonzero(V, t, rg) if T else ()
+                    _add_multiple(U[i], U[t], c, sub, mul)
+                    _add_multiple(Ut[t], Ut[i], c, add, mul)
+        drows = _rows_with_nonzero(D, t)
+        vrows = _rows_with_nonzero(V, t) if T else ()
         for j in range(n):
-            if j != t and not rg.is_zero(D[t][j]):
-                c = D[t][j]
+            c = D[t][j]
+            if c and j != t:
                 for row in drows:
-                    row[j] = rg.sub(row[j], rg.mul(c, row[t]))
+                    row[j] = sub(row[j], mul(c, row[t]))
                 for row in vrows:
-                    row[j] = rg.sub(row[j], rg.mul(c, row[t]))
+                    row[j] = sub(row[j], mul(c, row[t]))
                 if T:
-                    Vi[t] = [rg.add(x, rg.mul(c, y)) for x, y in zip(Vi[t], Vi[j])]
+                    _add_multiple(Vi[t], Vi[j], c, add, mul)
         t += 1
     return t
 
 
 def _snf_int(D, T, m, n):
     U, Ut, V, Vi = T or (None,) * 4
+    add, sub, mul = operator.add, operator.sub, operator.mul
     t = 0
     while True:
         piv = _find_pivot_z(D, t, m, n)
@@ -450,29 +474,29 @@ def _snf_int(D, T, m, n):
             dirty = False
             for i in range(t + 1, m):
                 a = D[i][t]
-                if a != 0:
+                if a:
                     q = a // d
-                    if q != 0:
-                        D[i] = [x - q * y for x, y in zip(D[i], D[t])]
+                    if q:
+                        _add_multiple(D[i], D[t], q, sub, mul)
                         if T:
-                            U[i] = [x - q * y for x, y in zip(U[i], U[t])]
-                            Ut[t] = [x + q * y for x, y in zip(Ut[t], Ut[i])]
-                    if D[i][t] != 0:
+                            _add_multiple(U[i], U[t], q, sub, mul)
+                            _add_multiple(Ut[t], Ut[i], q, add, mul)
+                    if D[i][t]:
                         dirty = True
-            drows = _rows_with_nonzero(D, t, Z)
-            vrows = _rows_with_nonzero(V, t, Z) if T else ()
+            drows = _rows_with_nonzero(D, t)
+            vrows = _rows_with_nonzero(V, t) if T else ()
             for j in range(t + 1, n):
                 a = D[t][j]
-                if a != 0:
+                if a:
                     q = a // d
-                    if q != 0:
+                    if q:
                         for row in drows:
                             row[j] -= q * row[t]
                         for row in vrows:
                             row[j] -= q * row[t]
                         if T:
-                            Vi[t] = [x + q * y for x, y in zip(Vi[t], Vi[j])]
-                    if D[t][j] != 0:
+                            _add_multiple(Vi[t], Vi[j], q, add, mul)
+                    if D[t][j]:
                         dirty = True
             if dirty:
                 # Remainders smaller than the pivot appeared; re-pick.
@@ -494,10 +518,10 @@ def _snf_int(D, T, m, n):
                     break
             if offender is None:
                 break
-            D[t] = [x + y for x, y in zip(D[t], D[offender])]
+            _add_multiple(D[t], D[offender], 1, add, mul)
             if T:
-                U[t] = [x + y for x, y in zip(U[t], U[offender])]
-                Ut[offender] = [x - y for x, y in zip(Ut[offender], Ut[t])]
+                _add_multiple(U[t], U[offender], 1, add, mul)
+                _add_multiple(Ut[offender], Ut[t], 1, sub, mul)
         t += 1
     return t
 
@@ -550,7 +574,7 @@ def determinant(A: Matrix):
         for t in range(n):
             piv = None
             for i in range(t, n):
-                if not rg.is_zero(M[i][t]):
+                if M[i][t]:
                     piv = i
                     break
             if piv is None:
@@ -562,7 +586,7 @@ def determinant(A: Matrix):
             inv = rg.inv(M[t][t])
             for i in range(t + 1, n):
                 c = rg.mul(M[i][t], inv)
-                if not rg.is_zero(c):
+                if c:
                     M[i] = [rg.sub(x, rg.mul(c, y)) for x, y in zip(M[i], M[t])]
         return det
     # Bareiss fraction-free elimination.

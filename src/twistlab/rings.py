@@ -12,7 +12,14 @@ from .errors import TwistlabError
 
 
 class Ring:
-    """Arithmetic interface for an exact commutative ring."""
+    """Arithmetic interface for an exact commutative ring.
+
+    Contract: every element is canonical, an `int` over Z, a `Fraction` over
+    Q, and an `int` residue in [0, p) over F_p.  Elements come only from
+    `from_int`, `parse` and the ring's arithmetic, which all return canonical
+    values.  So an element is zero exactly when it is falsy, and `not a` is
+    the zero test that matrix code uses in place of `is_zero`.
+    """
 
     token: str
     is_field: bool

@@ -65,7 +65,12 @@ class TwistedComplex(FreeComplex):
         idx = {nm: i for i, nm in enumerate(self.basis_names(k))}
         out = []
         for nm in names:
-            base = idx[nm] * d
+            try:
+                base = idx[nm] * d
+            except KeyError:
+                raise ValidationError(
+                    f"{nm!r} is not a basis simplex of {self.label} in degree {k}"
+                ) from None
             out.extend(range(base, base + d))
         return out
 

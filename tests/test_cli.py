@@ -1,8 +1,10 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+from twistlab import cli
 from twistlab.cli import parse_groups_tsv, presentation_from_row, run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,6 +89,29 @@ def test_examples_match_the_recorded_output():
     assert [r["command"] for r in recorded] == EXAMPLE_COMMANDS
     for r in recorded:
         assert run(r["command"]) == (r["status"], r["stdout"]), r["command"]
+
+
+def test_one_parser_serves_the_process_and_keeps_no_state(monkeypatch, capsys):
+    # Replays the examples in two orders through one cached parser, with a
+    # usage error (argparse exits 2 and prints nothing to stdout) and a tsv
+    # job between every few commands.
+    recorded = json.loads((ROOT / "tests" / "example_outputs.json").read_text(encoding="utf-8"))
+    tsv = next(r for r in recorded if "--format tsv" in r["command"])
+    usage_error = {"command": "homology", "status": 2, "stdout": ""}
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._shared_parser.cache_clear()
+    for seed in (1, 2):
+        order = recorded[:]
+        random.Random(seed).shuffle(order)
+        for i in range(len(order) - len(order) % 4, 0, -4):
+            order[i:i] = [usage_error, tsv]
+        for r in order:
+            assert run(r["command"]) == (r["status"], r["stdout"]), r["command"]
+    assert len(builds) == 1
+    assert "the following arguments are required: complex" in capsys.readouterr().err
+    assert cli.build_parser() is not cli._shared_parser()
 
 
 def test_examples_documented_in_readme():

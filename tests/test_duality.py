@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 import twistlab as tl
@@ -46,6 +48,22 @@ def test_fundamental_class_rejects_a_system_on_another_base():
     T, Kb = load_complex("torus"), load_complex("klein")
     with pytest.raises(ValidationError, match="lives on 'klein', not 'torus'"):
         tl.fundamental_class(T, tl.orientation_system(Kb))
+
+
+def test_orientation_and_fundamental_class_make_one_manifold_check(monkeypatch):
+    calls = []
+    check = tl.complexes._check_pseudomanifold
+    monkeypatch.setattr(
+        tl.complexes, "_check_pseudomanifold", lambda K: calls.append(K.name) or check(K)
+    )
+    # A freshly parsed complex: the shared fixtures may hold their report already.
+    K = tl.parse_complex(fixture_text("rp2.cx"))
+    tl.fundamental_class(K, tl.orientation_system(K))
+    assert calls == ["rp2"]
+    report = tl.pseudomanifold_check(K)
+    assert calls == ["rp2"] and report.closed_pseudomanifold
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.pure = False
 
 
 def test_fundamental_class_certificate_is_live(monkeypatch):

@@ -3,11 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+import twistlab as tl
 from twistlab import Matrix, Q, Z, kernel_basis, prime_field, smith_normal_form, solve
 from twistlab.errors import CapacityError, TwistlabError
 from twistlab.matrices import (
     determinant, image_basis, inverse, is_invertible, smith_diagonal,
 )
+
+from conftest import ALL_COMPLEXES, MANIFOLDS, load_complex, load_system, random_flat_system
+
+CONTRACT_RINGS = [Z, Q, prime_field(2), prime_field(5)]
 
 
 def M(rows, ring=Z):
@@ -179,7 +184,8 @@ def test_mul_vec_rejects_a_vector_of_the_wrong_length():
 
 
 def naive_mul(A, B):
-    """Reference product: one ring sum over every k for every (i, j)."""
+    """Reference product, the dense loop `Matrix.mul` once was: one ring sum
+    over every k for every (i, j), zeros included."""
     rg = A.ring
     rows = []
     for i in range(A.nrows):
@@ -193,11 +199,18 @@ def naive_mul(A, B):
     return rows
 
 
-@pytest.mark.parametrize("ring", [Z, Q, prime_field(5)], ids=str)
+def dense_is_zero(A):
+    """Reference zero test, the loop `Matrix.is_zero` once was: the ring's
+    test on every entry."""
+    return all(A.ring.is_zero(x) for row in A.rows for x in row)
+
+
+@pytest.mark.parametrize("ring", [Z, Q, prime_field(5), prime_field(2)], ids=str)
 @pytest.mark.parametrize("density", [0.05, 0.5, 1])
 def test_mul_and_mul_vec_match_the_naive_product(ring, density):
     rng = random.Random(2024)
-    shapes = [(3, 0, 4), (0, 2, 3)] + [tuple(rng.randint(0, 9) for _ in range(3)) for _ in range(60)]
+    shapes = [(3, 0, 4), (0, 2, 3), (2, 3, 0)]
+    shapes += [tuple(rng.randint(0, 9) for _ in range(3)) for _ in range(60)]
     for m, k, n in shapes:
         A = random_matrix(rng, ring, m, k, density)
         if ring == Q:
@@ -205,9 +218,11 @@ def test_mul_and_mul_vec_match_the_naive_product(ring, density):
         B = random_matrix(rng, ring, k, n, density)
         P, ref = A.mul(B), naive_mul(A, B)
         assert (P.nrows, P.ncols) == (m, n)
-        assert P.rows == ref
+        assert repr(P.rows) == repr(ref)
+        for X in (A, B, P):
+            assert X.is_zero() == dense_is_zero(X)
         if n:
-            assert A.mul_vec(B.col(0)) == [row[0] for row in ref]
+            assert repr(A.mul_vec(B.col(0))) == repr([row[0] for row in ref])
 
 
 def test_column_of_no_entries_is_one_column():
@@ -231,3 +246,176 @@ def test_transform_free_capacity_bounds_the_matrix_alone(monkeypatch):
     assert smith_diagonal(Matrix.identity(Z, 10)) == ([1] * 10, 10)
     with pytest.raises(CapacityError):
         smith_diagonal(Matrix.zeros(Z, 10, 12))
+
+
+# -- the dense elimination, kept as the reference for the SNF sweeps -------
+#
+# `dense_smith_normal_form` is the elimination `smith_normal_form` ran before
+# its row operations skipped zeros: every row operation rebuilds the whole
+# row, and every zero test asks the ring.  The pivots and operations are the
+# same, so all five matrices must agree entry for entry, types included.
+
+
+def _dense_pivot(D, t, m, n, rg):
+    if rg.is_field:
+        for i in range(t, m):
+            for j in range(t, n):
+                if not rg.is_zero(D[i][j]):
+                    return i, j
+        return None
+    best = None
+    for i in range(t, m):
+        for j in range(t, n):
+            a = D[i][j]
+            if a != 0:
+                if a in (1, -1):
+                    return i, j
+                if best is None or (abs(a), i, j) < best:
+                    best = (abs(a), i, j)
+    return None if best is None else best[1:]
+
+
+def _dense_move_pivot(D, U, Ut, V, Vi, t, pi, pj):
+    for rows, a, b in ((D, t, pi), (U, t, pi), (Ut, t, pi), (Vi, t, pj)):
+        rows[a], rows[b] = rows[b], rows[a]
+    for rows in (D, V):
+        for row in rows:
+            row[t], row[pj] = row[pj], row[t]
+
+
+def _dense_column_sweep(D, V, t, j, c, rg):
+    for rows in (D, V):
+        for row in rows:
+            if not rg.is_zero(row[t]):
+                row[j] = rg.sub(row[j], rg.mul(c, row[t]))
+
+
+def dense_smith_normal_form(A):
+    """(U, D, V, Uinv, Vinv, rank) as row lists, by the dense sweeps."""
+    rg, m, n = A.ring, A.nrows, A.ncols
+    D = [row[:] for row in A.rows]
+    U, Ut = Matrix.identity(rg, m).rows, Matrix.identity(rg, m).rows
+    V, Vi = Matrix.identity(rg, n).rows, Matrix.identity(rg, n).rows
+    t = 0
+    while True:
+        piv = _dense_pivot(D, t, m, n, rg)
+        if piv is None:
+            break
+        _dense_move_pivot(D, U, Ut, V, Vi, t, *piv)
+        if rg.is_field:
+            p = D[t][t]
+            inv = rg.inv(p)
+            D[t] = [rg.mul(inv, x) for x in D[t]]
+            U[t] = [rg.mul(inv, x) for x in U[t]]
+            Ut[t] = [rg.mul(p, x) for x in Ut[t]]
+            for i in range(m):
+                if i != t and not rg.is_zero(D[i][t]):
+                    c = D[i][t]
+                    D[i] = [rg.sub(x, rg.mul(c, y)) for x, y in zip(D[i], D[t])]
+                    U[i] = [rg.sub(x, rg.mul(c, y)) for x, y in zip(U[i], U[t])]
+                    Ut[t] = [rg.add(x, rg.mul(c, y)) for x, y in zip(Ut[t], Ut[i])]
+            for j in range(n):
+                if j != t and not rg.is_zero(D[t][j]):
+                    c = D[t][j]
+                    _dense_column_sweep(D, V, t, j, c, rg)
+                    Vi[t] = [rg.add(x, rg.mul(c, y)) for x, y in zip(Vi[t], Vi[j])]
+            t += 1
+            continue
+        while True:
+            if D[t][t] < 0:
+                D[t], U[t], Ut[t] = ([-x for x in r] for r in (D[t], U[t], Ut[t]))
+            d = D[t][t]
+            dirty = False
+            for i in range(t + 1, m):
+                q = D[i][t] // d
+                if q != 0:
+                    D[i] = [x - q * y for x, y in zip(D[i], D[t])]
+                    U[i] = [x - q * y for x, y in zip(U[i], U[t])]
+                    Ut[t] = [x + q * y for x, y in zip(Ut[t], Ut[i])]
+                dirty = dirty or D[i][t] != 0
+            for j in range(t + 1, n):
+                q = D[t][j] // d
+                if q != 0:
+                    _dense_column_sweep(D, V, t, j, q, rg)
+                    Vi[t] = [x + q * y for x, y in zip(Vi[t], Vi[j])]
+                dirty = dirty or D[t][j] != 0
+            if dirty:
+                _dense_move_pivot(D, U, Ut, V, Vi, t, *_dense_pivot(D, t, m, n, rg))
+                continue
+            d = D[t][t]
+            offender = next(
+                (i for i in range(t + 1, m) if any(D[i][j] % d for j in range(t + 1, n))),
+                None,
+            )
+            if offender is None:
+                break
+            D[t] = [x + y for x, y in zip(D[t], D[offender])]
+            U[t] = [x + y for x, y in zip(U[t], U[offender])]
+            Ut[offender] = [x - y for x, y in zip(Ut[offender], Ut[t])]
+        t += 1
+    Uinv = [list(col) for col in zip(*Ut)] if m else []
+    return U, D, V, Uinv, Vi, t
+
+
+@pytest.mark.parametrize("ring", [Z, Q, prime_field(5), prime_field(2)], ids=str)
+@pytest.mark.parametrize("density", [0.05, 0.2, 0.5, 1])
+def test_snf_matches_the_dense_elimination(ring, density):
+    rng = random.Random(31337)
+    shapes = [(0, 4), (4, 0), (0, 0)]
+    shapes += [(rng.randint(0, 9), rng.randint(0, 9)) for _ in range(80)]
+    for m, n in shapes:
+        A = random_matrix(rng, ring, m, n, density)
+        if ring == Q:
+            A = Matrix(Q, [[x / rng.randint(1, 6) for x in row] for row in A.rows]) if m else A
+        ref = dense_smith_normal_form(A)
+        snf = smith_normal_form(A)
+        got = (snf.U.rows, snf.D.rows, snf.V.rows, snf.Uinv.rows, snf.Vinv.rows, snf.rank)
+        assert repr(got) == repr(ref), (m, n)
+        assert repr(smith_diagonal(A)) == repr((snf.diagonal, snf.rank))
+
+
+# -- the ring contract behind the truthiness zero tests ----------------------
+
+
+def _assert_zero_exactly_when_falsy(ring, values, where):
+    for x in values:
+        assert bool(x) == (not ring.is_zero(x)), (ring, x, where)
+
+
+@pytest.mark.parametrize("ring", CONTRACT_RINGS, ids=str)
+def test_ring_elements_are_zero_exactly_when_falsy(ring):
+    values = [ring.zero(), ring.one()] + [ring.from_int(n) for n in range(-12, 13)]
+    values += [ring.parse(t) for t in ("0", "-0", "7", "-10", "15")]
+    if ring == Q:
+        values += [ring.parse(t) for t in ("0/3", "-4/6", "5/5", "-3/9")]
+    _assert_zero_exactly_when_falsy(ring, values, "built")
+    results = [ring.neg(a) for a in values]
+    for a in values:
+        for b in values:
+            results += [ring.add(a, b), ring.sub(a, b), ring.mul(a, b)]
+            if ring.is_unit(b):
+                results.append(ring.exact_div(a, b))
+        if ring.is_unit(a):
+            results.append(ring.inv(a))
+    _assert_zero_exactly_when_falsy(ring, results, "arithmetic")
+
+
+def test_differentials_on_the_fixtures_are_zero_exactly_when_falsy(rng):
+    cases = [
+        (name, random_flat_system(name, rank, ring, rng))
+        for name in ALL_COMPLEXES
+        for ring in CONTRACT_RINGS
+        for rank in (1, 2)
+    ]
+    cases += [(name, tl.orientation_system(load_complex(name))) for name in MANIFOLDS]
+    cases += [
+        (name, load_system(sys_file, load_complex(name)))
+        for name, sys_file in (("circle1", "minus1.sys"), ("circle3", "circle3_signs.sys"),
+                               ("torus", "torus_ab.sys"))
+    ]
+    for name, G in cases:
+        K = load_complex(name)
+        for C in (tl.chain_complex(K, G), tl.cochain_complex(K, G)):
+            for k in C.degrees():
+                entries = [x for row in C.diff(k).rows for x in row]
+                _assert_zero_exactly_when_falsy(G.ring, entries, (name, G.name, k))

@@ -44,6 +44,15 @@ def test_basis_order_simplex_major():
     assert C.basis_names(1) == ("a",)
 
 
+def test_positions_of_names_a_simplex_outside_the_basis():
+    K = load_complex("torus")
+    C = tl.chain_complex(K, tl.constant_system(K, 2, tl.Z))
+    assert C.positions_of(1, ["b", "a"]) == [2, 3, 0, 1]
+    for name in ("nope", "v", "U"):
+        with pytest.raises(ValidationError, match=f"'{name}' is not a basis simplex .* degree 1"):
+            C.positions_of(1, [name])
+
+
 def test_squared_zero_randomized(rng):
     # flatness forces both composites to vanish exactly
     for name in ["torus", "klein", "rp2", "rp3"]:
