@@ -2,7 +2,8 @@
 
 A k-simplex stores the names of its k+1 faces, face i being the (k-1)-simplex
 opposite vertex e_i.  Repeated-vertex gluings are allowed, so one-vertex
-models of the torus, Klein bottle, etc. are valid inputs.
+models of the torus, Klein bottle, etc. are valid inputs.  A complex is a few
+plain tables that `build_complex` fills in one pass; the walks read them directly.
 """
 
 from __future__ import annotations
@@ -15,31 +16,20 @@ MAX_DIMENSION = 8
 MAX_SIMPLICES = 100000
 
 
-@dataclass(frozen=True)
-class Simplex:
-    name: str
-    dim: int
-    faces: tuple[str, ...]
-
-
 class DeltaComplex:
-    """Validated immutable complex; simplex order follows the input order."""
+    """Validated immutable complex; simplex order follows the input order.
 
-    def __init__(self, name: str, simplices: list[Simplex]):
+    Its tables, built by `build_complex`: name -> face tuple (`_faces`) and ->
+    dimension (`_dims`), dimension -> names in input order (`_by_dim`), and
+    name -> position within its dimension (`_index`, fixing matrix bases)."""
+
+    def __init__(self, name: str, faces: dict, dims: dict, by_dim: dict, index: dict):
         self.name = name
-        self._simplices: dict[str, Simplex] = {}
-        by_dim: dict[int, list[str]] = {}
-        for s in simplices:
-            if s.name in self._simplices:
-                raise ValidationError(f"duplicate simplex name {s.name!r}")
-            self._simplices[s.name] = s
-            by_dim.setdefault(s.dim, []).append(s.name)
-        self._by_dim = {k: tuple(v) for k, v in by_dim.items()}
-        self.dimension = max(self._by_dim) if self._by_dim else -1
-        # Position of each simplex within its dimension (fixes matrix bases).
-        self._index = {
-            nm: i for k in self._by_dim for i, nm in enumerate(self._by_dim[k])
-        }
+        self._faces = faces
+        self._dims = dims
+        self._by_dim = by_dim
+        self._index = index
+        self.dimension = max(by_dim) if by_dim else -1
         self._manifold_report: ManifoldReport | None = None
 
     # -- structure access ----------------------------------------------
@@ -52,11 +42,12 @@ class DeltaComplex:
             yield from self._by_dim[k]
 
     def __contains__(self, name):
-        return name in self._simplices
+        return name in self._faces
 
     def same_complex(self, other: "DeltaComplex") -> bool:
-        """Whether other is this complex or has the same simplices and faces."""
-        return self is other or self._simplices == other._simplices
+        """Whether other is this complex or has the same face table (which fixes
+        every dimension: k + 1 faces for k >= 1, none for a vertex)."""
+        return self is other or self._faces == other._faces
 
     # Accessors catch the miss rather than test first, so a hit costs nothing.
 
@@ -65,19 +56,19 @@ class DeltaComplex:
 
     def dim_of(self, name: str) -> int:
         try:
-            return self._simplices[name].dim
+            return self._dims[name]
         except KeyError:
             raise self._no_simplex(name) from None
 
     def faces(self, name: str) -> tuple[str, ...]:
         try:
-            return self._simplices[name].faces
+            return self._faces[name]
         except KeyError:
             raise self._no_simplex(name) from None
 
     def face(self, name: str, i: int) -> str:
         try:
-            return self._simplices[name].faces[i]
+            return self._faces[name][i]
         except KeyError:
             raise self._no_simplex(name) from None
         except IndexError:
@@ -96,28 +87,27 @@ class DeltaComplex:
 
     def range_face(self, name: str, a: int, b: int) -> str:
         """The face spanned by vertices e_a..e_b (iterated face maps)."""
-        cur = name
         d = self.dim_of(name)
         if not (0 <= a <= b <= d):
             raise TwistlabError(f"bad vertex range [{a}, {b}] on {name!r}")
-        while d > b:
-            cur = self.face(cur, d)
-            d -= 1
+        cur = name
+        for i in range(d, b, -1):
+            cur = self._faces[cur][i]
         for _ in range(a):
-            cur = self.face(cur, 0)
+            cur = self._faces[cur][0]
         return cur
 
     def subset_face(self, name: str, keep) -> str:
-        """The face spanned by an arbitrary set of vertex indices."""
+        """The face spanned by a nonempty set of vertex indices."""
+        d = self.dim_of(name)
         keep_set = set(keep)
+        if not keep_set or min(keep_set) < 0 or max(keep_set) > d:
+            raise TwistlabError(f"bad vertex indices {sorted(keep_set)} on {name!r}")
         cur = name
-        present = list(range(self.dim_of(name) + 1))
-        i = len(present) - 1
-        while i >= 0:
-            if present[i] not in keep_set:
-                cur = self.face(cur, i)
-                present.pop(i)
-            i -= 1
+        # Going down, face i of the current face still drops original vertex i.
+        for i in range(d, -1, -1):
+            if i not in keep_set:
+                cur = self._faces[cur][i]
         return cur
 
     def vertex(self, name: str, m: int) -> str:
@@ -141,34 +131,38 @@ class DeltaComplex:
         """For each k-simplex, the (simplex, face-index) slots it bounds."""
         out = {nm: [] for nm in self.simplices(k)}
         for nm in self.simplices(k + 1):
-            for i, f in enumerate(self.faces(nm)):
+            for i, f in enumerate(self._faces[nm]):
                 out[f].append((nm, i))
         return out
 
 
 def build_complex(name: str, entries: list[tuple[int, str, tuple[str, ...]]]) -> DeltaComplex:
-    """Construct without face-identity validation (see validate_complex)."""
-    simplices = []
-    seen: dict[str, int] = {}
+    """Check each entry and fill the complex's tables, in one pass; the face
+    identities are left to validate_complex."""
+    faces_of, dims, by_dim, index = {}, {}, {}, {}
     for dim, nm, faces in entries:
         if dim < 0:
             raise ValidationError(f"negative dimension for {nm!r}")
         if dim > MAX_DIMENSION:
-            raise CapacityError(
-                f"simplex {nm!r} has dimension {dim} > cap {MAX_DIMENSION}"
-            )
-        if len(faces) != (dim + 1 if dim >= 1 else 0):
+            raise CapacityError(f"simplex {nm!r} has dimension {dim} > cap {MAX_DIMENSION}")
+        if dim == 0:
+            if faces:
+                raise ValidationError(f"vertex {nm!r} takes no faces")
+        elif len(faces) != dim + 1:
             raise ValidationError(f"simplex {nm!r} needs {dim + 1} faces")
         for f in faces:
-            if seen.get(f) != dim - 1:
+            if dims.get(f) != dim - 1:
                 raise ValidationError(f"unknown face {f!r} of simplex {nm!r}")
-        if nm in seen:
+        if nm in dims:
             raise ValidationError(f"duplicate simplex name {nm!r}")
-        seen[nm] = dim
-        simplices.append(Simplex(nm, dim, tuple(faces)))
-        if len(simplices) > MAX_SIMPLICES:
+        dims[nm] = dim
+        faces_of[nm] = tuple(faces)
+        level = by_dim.setdefault(dim, [])
+        index[nm] = len(level)
+        level.append(nm)
+        if len(dims) > MAX_SIMPLICES:
             raise CapacityError(f"more than {MAX_SIMPLICES} simplices")
-    return DeltaComplex(name, simplices)
+    return DeltaComplex(name, faces_of, dims, {k: tuple(v) for k, v in by_dim.items()}, index)
 
 
 @dataclass
@@ -183,13 +177,15 @@ class ValidationReport:
 def validate_complex(K: DeltaComplex) -> ValidationReport:
     """Check the face identities face_i(face_j(s)) = face_{j-1}(face_i(s)), i < j."""
     report = ValidationReport()
+    faces = K._faces
     for k in range(2, K.dimension + 1):
         for nm in K.simplices(k):
-            faces = K.faces(nm)
+            # build_complex made every face a (k-1)-simplex with k faces.
+            ff = [faces[f] for f in faces[nm]]
             for j in range(1, k + 1):
                 for i in range(j):
-                    left = K.face(faces[j], i)
-                    right = K.face(faces[i], j - 1)
+                    left = ff[j][i]
+                    right = ff[i][j - 1]
                     if left != right:
                         report.violations.append(
                             f"face identity fails on {nm!r} at (i={i}, j={j}): "
@@ -204,7 +200,7 @@ def validate_complex(K: DeltaComplex) -> ValidationReport:
 
 def _content_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].strip() if "#" in raw else raw.strip()
         if line:
             yield lineno, line
 
@@ -383,28 +379,32 @@ def _check_pseudomanifold(K: DeltaComplex) -> ManifoldReport:
     top = K.simplices(n)
 
     # Purity: every simplex is an iterated face of a top simplex.
+    faces = K._faces
     reached = set(top)
     for k in range(n, 0, -1):
         for nm in K.simplices(k):
             if nm in reached:
-                reached.update(K.faces(nm))
-    pure = all(nm in reached for nm in K.all_simplices())
+                reached.update(faces[nm])
+    # reached holds only simplices of K, so counting it is enough.
+    pure = len(reached) == len(faces)
 
+    # The top simplices on each (n-1)-simplex, once per face slot.
+    slots: dict[str, list] = {nm: [] for nm in K.simplices(n - 1)}
+    for nm in top:
+        for f in faces[nm]:
+            slots[f].append(nm)
     two = True
     adj: dict[str, list] = {nm: [] for nm in top}
-    if n >= 1:
-        for slots in K.cofaces(n - 1).values():
-            if len(slots) != 2:
-                two = False
-                continue
-            a, b = slots[0][0], slots[1][0]
-            adj[a].append((b, 1))
-            adj[b].append((a, 1))
+    for pair in slots.values():
+        if len(pair) != 2:
+            two = False
+            continue
+        a, b = pair
+        adj[a].append((b, 1))
+        adj[b].append((a, 1))
     connected = bool(top) and len(_propagate_signs(top[0], adj)) == len(top)
     return ManifoldReport(n, pure, two, connected)
 
 
 def euler_characteristic(K: DeltaComplex) -> int:
-    return sum(
-        (-1) ** k * len(K.simplices(k)) for k in range(K.dimension + 1)
-    )
+    return sum((-1) ** k * count for k, count in enumerate(K.counts()))

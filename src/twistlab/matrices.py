@@ -61,11 +61,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring, n):
-        m = cls.zeros(ring, n, n)
-        one = ring.one()
-        for i in range(n):
-            m.rows[i][i] = one
-        return m
+        return cls(ring, _identity_rows(ring, n))
 
     @classmethod
     def from_int_rows(cls, ring, int_rows):
@@ -363,6 +359,14 @@ def _move_pivot(D, T, t, pi, pj):
         _swap_rows(Vi, t, pj)
 
 
+def _identity_rows(rg, n):
+    one, zero = rg.one(), rg.zero()
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = one
+    return rows
+
+
 def _check_capacity(m, n, entries):
     if entries > MAX_SNF_ENTRIES:
         raise CapacityError(
@@ -387,8 +391,8 @@ def smith_normal_form(A: Matrix) -> SNF:
     _check_capacity(m, n, m * n + 2 * m * m + 2 * n * n)
     rg = A.ring
     D = [row[:] for row in A.rows]
-    U, Ut = Matrix.identity(rg, m).rows, Matrix.identity(rg, m).rows
-    V, Vi = Matrix.identity(rg, n).rows, Matrix.identity(rg, n).rows
+    U, Ut = _identity_rows(rg, m), _identity_rows(rg, m)
+    V, Vi = _identity_rows(rg, n), _identity_rows(rg, n)
     rank = _eliminate(D, (U, Ut, V, Vi), m, n, rg)
     dD = Matrix(rg, D)
     dD.ncols = n

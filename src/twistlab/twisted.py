@@ -84,6 +84,8 @@ def _diffs(K, G, basis_names, direction):
     d = G.rank
     cochain = direction == "cochain"
     one = Matrix.identity(ring, d)
+    minus_one = one.neg()
+    minus_T = {}  # front edge -> -T (or -T^-1), made the first time it is needed
     diffs = {}
     for k in range(1, K.dimension + 1):
         face_names = basis_names.get(k - 1, ())
@@ -99,9 +101,14 @@ def _diffs(K, G, basis_names, direction):
                 fi = face_idx.get(f)
                 if fi is None:
                     continue
-                block = T if i == 0 else one
-                if (i % 2 == 1) != flip:
-                    block = block.neg()
+                if i:
+                    block = minus_one if (i % 2 == 1) != flip else one
+                elif flip:
+                    block = minus_T.get(edge)
+                    if block is None:
+                        block = minus_T[edge] = T.neg()
+                else:
+                    block = T
                 r0, c0 = (sj * d, fi * d) if cochain else (fi * d, sj * d)
                 for a in range(d):
                     row = mat.rows[r0 + a]

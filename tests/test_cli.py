@@ -91,6 +91,19 @@ def test_examples_match_the_recorded_output():
         assert run(r["command"]) == (r["status"], r["stdout"]), r["command"]
 
 
+def test_malformed_documents_match_the_recorded_errors():
+    # error_outputs.json holds the exit status and stdout of `validate` on every
+    # document in tests/malformed, recorded before the complex was stored as face
+    # tables: the error text, and which error wins when a document has several.
+    recorded = json.loads((ROOT / "tests" / "error_outputs.json").read_text(encoding="utf-8"))
+    documents = sorted((ROOT / "tests" / "malformed").glob("*.cx"))
+    assert [r["command"] for r in recorded] == [
+        f"validate tests/malformed/{p.name}" for p in documents
+    ]
+    for r in recorded:
+        assert run(r["command"]) == (r["status"], r["stdout"]), r["command"]
+
+
 def test_one_parser_serves_the_process_and_keeps_no_state(monkeypatch, capsys):
     # Replays the examples in two orders through one cached parser, with a
     # usage error (argparse exits 2 and prints nothing to stdout) and a tsv

@@ -1,9 +1,17 @@
+import random
+from dataclasses import dataclass
+from pathlib import Path
+
 import pytest
 
 import twistlab as tl
-from twistlab.errors import CapacityError, ParseError, ValidationError
+from twistlab import complexes
+from twistlab.errors import CapacityError, ParseError, TwistlabError, ValidationError
 
 from conftest import ALL_COMPLEXES, MANIFOLDS, fixture_text, load_complex
+from inputs import klein_bottle, kuhn_torus
+
+MALFORMED = Path(__file__).resolve().parent / "malformed"
 
 
 def test_parse_circle1():
@@ -78,6 +86,19 @@ def test_vertex_table():
     assert K.vertices("a") == ("v", "w")
     assert K.front_edge("T") == "c"
     assert K.subset_face("T", (0, 2)) == "b"
+
+
+@pytest.mark.parametrize("keep", [(0, 5), (-1, 1), (3,), ()],
+                         ids=["index_5", "index_-1", "index_3", "empty"])
+def test_subset_face_rejects_bad_vertex_indices(keep):
+    # U is a triangle, so its vertex indices are 0, 1 and 2.
+    with pytest.raises(TwistlabError, match=r"bad vertex indices .* on 'U'"):
+        load_complex("torus").subset_face("U", keep)
+
+
+def test_build_complex_says_a_vertex_takes_no_faces():
+    with pytest.raises(ValidationError, match="vertex 'v' takes no faces"):
+        tl.build_complex("x", [(0, "v", ("w",))])
 
 
 def test_dimension_cap():
@@ -176,3 +197,320 @@ def test_validate_report_names_offending_simplex():
     report = tl.validate_complex(K)
     assert not report.ok
     assert all("'T'" in v for v in report.violations)
+
+
+# -- reference: one Simplex object per simplex, as DeltaComplex stored them ----
+#
+# DeltaComplex holds face tables filled in one pass.  These are the
+# Simplex-based build, storage, face-identity check, parser and purity and
+# dual-connectivity walks that the tables replaced, kept only as references.
+
+
+@dataclass(frozen=True)
+class RefSimplex:
+    name: str
+    dim: int
+    faces: tuple[str, ...]
+
+
+class RefComplex:
+    def __init__(self, name, simplices):
+        self.name = name
+        self._simplices = {}
+        by_dim = {}
+        for s in simplices:
+            if s.name in self._simplices:
+                raise ValidationError(f"duplicate simplex name {s.name!r}")
+            self._simplices[s.name] = s
+            by_dim.setdefault(s.dim, []).append(s.name)
+        self._by_dim = {k: tuple(v) for k, v in by_dim.items()}
+        self.dimension = max(self._by_dim) if self._by_dim else -1
+        self._index = {
+            nm: i for k in self._by_dim for i, nm in enumerate(self._by_dim[k])
+        }
+
+    def simplices(self, k):
+        return self._by_dim.get(k, ())
+
+    def all_simplices(self):
+        for k in sorted(self._by_dim):
+            yield from self._by_dim[k]
+
+    def same_complex(self, other):
+        return self is other or self._simplices == other._simplices
+
+    def dim_of(self, name):
+        return self._simplices[name].dim
+
+    def faces(self, name):
+        return self._simplices[name].faces
+
+    def face(self, name, i):
+        return self._simplices[name].faces[i]
+
+    def index_of(self, name):
+        return self._index[name]
+
+    def counts(self):
+        return tuple(len(self.simplices(k)) for k in range(self.dimension + 1))
+
+    def cofaces(self, k):
+        out = {nm: [] for nm in self.simplices(k)}
+        for nm in self.simplices(k + 1):
+            for i, f in enumerate(self.faces(nm)):
+                out[f].append((nm, i))
+        return out
+
+
+def ref_build_complex(name, entries):
+    simplices = []
+    seen = {}
+    for dim, nm, faces in entries:
+        if dim < 0:
+            raise ValidationError(f"negative dimension for {nm!r}")
+        if dim > complexes.MAX_DIMENSION:
+            raise CapacityError(
+                f"simplex {nm!r} has dimension {dim} > cap {complexes.MAX_DIMENSION}"
+            )
+        if len(faces) != (dim + 1 if dim >= 1 else 0):
+            raise ValidationError(f"simplex {nm!r} needs {dim + 1} faces")
+        for f in faces:
+            if seen.get(f) != dim - 1:
+                raise ValidationError(f"unknown face {f!r} of simplex {nm!r}")
+        if nm in seen:
+            raise ValidationError(f"duplicate simplex name {nm!r}")
+        seen[nm] = dim
+        simplices.append(RefSimplex(nm, dim, tuple(faces)))
+        if len(simplices) > complexes.MAX_SIMPLICES:
+            raise CapacityError(f"more than {complexes.MAX_SIMPLICES} simplices")
+    return RefComplex(name, simplices)
+
+
+def ref_violations(K):
+    out = []
+    for k in range(2, K.dimension + 1):
+        for nm in K.simplices(k):
+            faces = K.faces(nm)
+            for j in range(1, k + 1):
+                for i in range(j):
+                    left = K.face(faces[j], i)
+                    right = K.face(faces[i], j - 1)
+                    if left != right:
+                        out.append(
+                            f"face identity fails on {nm!r} at (i={i}, j={j}): "
+                            f"face_{i}(face_{j}) = {left!r} but "
+                            f"face_{j - 1}(face_{i}) = {right!r}"
+                        )
+    return out
+
+
+def ref_manifold_report(K):
+    n = K.dimension
+    if n < 0:
+        return tl.ManifoldReport(n, False, False, False)
+    top = K.simplices(n)
+    reached = set(top)
+    for k in range(n, 0, -1):
+        for nm in K.simplices(k):
+            if nm in reached:
+                reached.update(K.faces(nm))
+    pure = all(nm in reached for nm in K.all_simplices())
+    two = True
+    adj = {nm: [] for nm in top}
+    if n >= 1:
+        for slots in K.cofaces(n - 1).values():
+            if len(slots) != 2:
+                two = False
+                continue
+            a, b = slots[0][0], slots[1][0]
+            adj[a].append((b, 1))
+            adj[b].append((a, 1))
+    connected = bool(top) and len(complexes._propagate_signs(top[0], adj)) == len(top)
+    return tl.ManifoldReport(n, pure, two, connected)
+
+
+def ref_parse_complex(text):
+    name = None
+    declared_dim = None
+    entries = []
+    last_dim = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] == "complex":
+            if len(parts) != 2 or name is not None:
+                raise ParseError("expected a single 'complex <name>' header", lineno)
+            name = parts[1]
+        elif parts[0] == "dim":
+            if len(parts) != 2 or name is None:
+                raise ParseError("'dim <n>' must follow the complex header", lineno)
+            try:
+                declared_dim = int(parts[1])
+            except ValueError:
+                raise ParseError(f"bad dimension {parts[1]!r}", lineno) from None
+            if declared_dim > complexes.MAX_DIMENSION:
+                raise CapacityError(
+                    f"declared dimension {declared_dim} > cap {complexes.MAX_DIMENSION}"
+                )
+        elif parts[0] == "simplex":
+            if name is None or declared_dim is None:
+                raise ParseError("simplex line before headers", lineno)
+            if len(parts) < 3:
+                raise ParseError("expected 'simplex <k> <name> <faces...>'", lineno)
+            try:
+                k = int(parts[1])
+            except ValueError:
+                raise ParseError(f"bad simplex dimension {parts[1]!r}", lineno) from None
+            nm = parts[2]
+            faces = tuple(parts[3:])
+            if k > declared_dim:
+                raise ParseError(
+                    f"simplex {nm!r} exceeds declared dimension {declared_dim}", lineno
+                )
+            if k < last_dim:
+                raise ParseError("simplices must appear in ascending dimension", lineno)
+            last_dim = k
+            if k >= 1 and len(faces) != k + 1:
+                raise ParseError(
+                    f"simplex {nm!r} of dimension {k} needs {k + 1} faces", lineno
+                )
+            if k == 0 and faces:
+                raise ParseError("vertices take no faces", lineno)
+            entries.append((k, nm, faces))
+        else:
+            raise ParseError(f"unknown directive {parts[0]!r}", lineno)
+    if name is None:
+        raise ParseError("missing 'complex <name>' header")
+    K = ref_build_complex(name, entries)
+    violations = ref_violations(K)
+    if violations:
+        raise ValidationError("; ".join(violations))
+    return K
+
+
+def entries_of(text):
+    """The (dimension, name, faces) entries of a well-formed document, in order."""
+    out = []
+    for line in text.splitlines():
+        parts = line.split("#", 1)[0].split()
+        if parts and parts[0] == "simplex":
+            out.append((int(parts[1]), parts[2], tuple(parts[3:])))
+    return out
+
+
+def assert_same_tables(K, R):
+    assert (K.name, K.dimension, K.counts()) == (R.name, R.dimension, R.counts())
+    for k in range(-1, K.dimension + 2):
+        assert K.simplices(k) == R.simplices(k)
+        assert K.cofaces(k) == R.cofaces(k)
+    names = list(R.all_simplices())
+    assert list(K.all_simplices()) == names
+    for nm in names:
+        assert nm in K
+        assert (K.dim_of(nm), K.faces(nm), K.index_of(nm)) == (
+            R.dim_of(nm), R.faces(nm), R.index_of(nm))
+    assert tl.validate_complex(K).violations == ref_violations(R)
+    assert complexes._check_pseudomanifold(K) == ref_manifold_report(R)
+
+
+def _bench_texts():
+    # Small members of each benchmark family, n = 1 and 2 included: there
+    # vertices repeat inside a simplex.
+    families = [kuhn_torus(1, 2), kuhn_torus(2, 2), kuhn_torus(3, 2),
+                kuhn_torus(1, 3), kuhn_torus(2, 3), klein_bottle(3, 3), klein_bottle(4, 3)]
+    for G in families:
+        for seed in (0, 1, 2):
+            G.shuffle(random.Random(f"{seed}/{G.name}"))
+            yield f"{G.name}/seed{seed}", G.text()
+
+
+# Well-formed complexes that are not closed pseudomanifolds in various ways.
+IMPURE = {
+    "disk_and_point": "complex dp\ndim 2\nsimplex 0 u\nsimplex 0 v\nsimplex 0 w\n"
+    "simplex 0 p\nsimplex 1 a w v\nsimplex 1 b w u\nsimplex 1 c v u\n"
+    "simplex 2 T a b c\n",
+    "circle_with_whisker": "complex cw\ndim 1\nsimplex 0 v\nsimplex 0 w\n"
+    "simplex 1 a v v\nsimplex 1 b w v\n",
+    "two_points": "complex pp\ndim 0\nsimplex 0 v\nsimplex 0 w\n",
+    "empty": "complex nothing\ndim 0\n",
+}
+
+
+def _all_texts():
+    for name in ALL_COMPLEXES:
+        yield name, fixture_text(f"{name}.cx")
+    yield "impure.cx", (MALFORMED / "impure.cx").read_text()
+    yield from IMPURE.items()
+    yield from _bench_texts()
+
+
+@pytest.mark.parametrize("text", [pytest.param(t, id=label) for label, t in _all_texts()])
+def test_face_tables_match_the_simplex_reference(text):
+    K = tl.parse_complex(text)
+    R = ref_parse_complex(text)
+    assert_same_tables(K, R)
+    assert_same_tables(tl.build_complex(K.name, entries_of(text)),
+                       ref_build_complex(R.name, entries_of(text)))
+
+
+def test_face_identity_violations_match_the_reference_on_built_complexes():
+    # build_complex leaves the identities to validate_complex, so a broken
+    # gluing builds, and both checks must list the same violations in order.
+    for text in [fixture_text("broken.cx"), (MALFORMED / "face_identities.cx").read_text()]:
+        K = tl.build_complex("b", entries_of(text))
+        R = ref_build_complex("b", entries_of(text))
+        assert tl.validate_complex(K).violations == ref_violations(R) != []
+        assert_same_tables(K, R)
+
+
+def test_same_complex_agrees_with_the_reference():
+    built = []
+    for _, text in _bench_texts():
+        built.append((tl.parse_complex(text), ref_parse_complex(text)))
+    torus = entries_of(fixture_text("torus.cx"))
+    # The same names with one triangle's faces permuted: a different complex.
+    swapped = [(d, nm, tuple(reversed(f)) if nm == "U" else f) for d, nm, f in torus]
+    for entries in (torus, swapped):
+        built.append((tl.build_complex("torus", entries), ref_build_complex("torus", entries)))
+    verdicts = set()
+    for K1, R1 in built:
+        for K2, R2 in built:
+            assert K1.same_complex(K2) == R1.same_complex(R2)
+            verdicts.add(K1.same_complex(K2) and K1 is not K2)
+    # Shuffled copies are the same complex, other families are not.
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("path", sorted(MALFORMED.glob("*.cx")), ids=lambda p: p.stem)
+def test_malformed_documents_fail_like_the_reference(path):
+    text = path.read_text()
+    try:
+        ref = ref_parse_complex(text)
+    except TwistlabError as exc:
+        with pytest.raises(type(exc)) as got:
+            tl.parse_complex(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert_same_tables(tl.parse_complex(text), ref)
+
+
+@pytest.mark.parametrize("entries", [
+    [(-1, "v", ())],
+    [(9, "v", ())],
+    [(0, "v", ()), (1, "a", ("v",))],
+    [(0, "v", ()), (1, "a", ("v", "q"))],
+    [(0, "v", ()), (1, "a", ("v", "v")), (2, "T", ("a", "a", "v"))],
+    [(0, "v", ()), (0, "v", ())],
+    [(0, "v", ()), (1, "a", ("v", "v")), (1, "a", ("v", "v"))],
+    [(0, "v", ()), (1, "a", ("v", "v")), (0, "w", ()), (0, "x", ())],
+], ids=["negative", "dimension_cap", "face_count", "unknown_face", "face_dimension",
+        "duplicate_vertex", "duplicate_edge", "capacity"])
+def test_build_errors_match_the_reference(entries, monkeypatch):
+    monkeypatch.setattr(complexes, "MAX_SIMPLICES", 3)
+    with pytest.raises(TwistlabError) as ref:
+        ref_build_complex("x", entries)
+    with pytest.raises(type(ref.value)) as got:
+        tl.build_complex("x", entries)
+    assert str(got.value) == str(ref.value)
