@@ -396,8 +396,8 @@ def smith_normal_form(A: Matrix) -> SNF:
     rank = _eliminate(D, (U, Ut, V, Vi), m, n, rg)
     dD = Matrix(rg, D)
     dD.ncols = n
-    return SNF(Matrix(rg, U), dD, Matrix(rg, V), Matrix(rg, Ut).transpose(),
-               Matrix(rg, Vi), rank)
+    Uinv = Matrix(rg, [list(c) for c in zip(*Ut)])
+    return SNF(Matrix(rg, U), dD, Matrix(rg, V), Uinv, Matrix(rg, Vi), rank)
 
 
 def smith_diagonal(A: Matrix) -> tuple[list, int]:

@@ -227,11 +227,6 @@ def cast_system(G: LocalSystem, ring: Ring) -> LocalSystem:
     return LocalSystem(f"{G.name}@{ring.token}", G.base, ring, G.rank, transports)
 
 
-def restrict_system(G: LocalSystem, sub: DeltaComplex) -> LocalSystem:
-    transports = {e: G.transport(e) for e in sub.simplices(1)}
-    return LocalSystem(f"{G.name}|{sub.name}", sub, G.ring, G.rank, transports)
-
-
 # -- orientation character ---------------------------------------------
 
 

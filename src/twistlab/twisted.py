@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import (
-    DeltaComplex,
-    SubcomplexPair,
-    skeleton_pair,
-    subcomplex,
-    subcomplex_as_complex,
-)
+from .complexes import DeltaComplex, SubcomplexPair
 from .errors import TwistlabError, ValidationError
 from .homology import (
     ChainMapData,
@@ -30,7 +24,7 @@ from .homology import (
 )
 from .maps import SimplicialMap
 
-from .systems import LocalSystem, pullback_system, restrict_system
+from .systems import LocalSystem, pullback_system
 
 # Global sign relating the skeleton-triple composite to the direct boundary;
 # calibrated once on the circle with holonomy -1 and asserted everywhere.
@@ -217,16 +211,21 @@ def _les_parts(P: SubcomplexPair, G: LocalSystem, variant: str):
     subC = _sub_complex(P, G, direction)
     fullC = TwistedComplex(f"C({K.name})", K, G, direction, None)
     relC = relative_complex(P, G, direction)
-    members = P.member_set()
+    sub_pos, rel_pos = _split_positions(fullC, subC, relC, range(K.dimension + 1))
+    return subC, fullC, relC, sub_pos, rel_pos
+
+
+def _split_positions(fullC, subC, relC, degrees):
+    """The positions in fullC of the bases of subC and relC, checked in each
+    degree to split fullC's basis."""
     sub_pos = {}
     rel_pos = {}
-    for k in range(K.dimension + 1):
-        names = fullC.basis_names(k)
-        sub_pos[k] = fullC.positions_of(k, [nm for nm in names if nm in members])
-        rel_pos[k] = fullC.positions_of(k, [nm for nm in names if nm not in members])
+    for k in degrees:
+        sub_pos[k] = fullC.positions_of(k, subC.basis_names(k))
+        rel_pos[k] = fullC.positions_of(k, relC.basis_names(k))
         if sorted(sub_pos[k] + rel_pos[k]) != list(range(fullC.rank(k))):
             raise TwistlabError("sub/rel coordinates do not split the full basis")
-    return subC, fullC, relC, sub_pos, rel_pos
+    return sub_pos, rel_pos
 
 
 def _inclusion_map(subC, fullC, sub_pos, label) -> ChainMapData:
@@ -310,36 +309,74 @@ def assemble_les(P: SubcomplexPair, G: LocalSystem, variant: str = "homology") -
 # -- skeleton-triple cellular boundary ----------------------------------
 
 
-def cellular_boundary_via_triple(K: DeltaComplex, G: LocalSystem, n: int) -> Matrix:
+class _Skeleta:
+    """The skeleton filtration of K with the system G, every complex built on K.
+
+    skeleton(k) is C(K^k), free on the simplices of dimension <= k, and
+    layer(k) is C(K^k, K^{k-1}), free on the k-simplices with zero
+    differential.  top, when given, is C(K) and serves as the top skeleton.
+    Each complex is built the first time it is asked for, so the triples of
+    consecutive degrees share the skeleton and the layer they both read.
+    """
+
+    def __init__(self, K: DeltaComplex, G: LocalSystem, top: TwistedComplex | None = None):
+        self.K = K
+        self.G = G
+        self._skeleta = {} if top is None else {K.dimension: top}
+        self._layers = {}
+
+    def skeleton(self, k: int) -> TwistedComplex:
+        S = self._skeleta.get(k)
+        if S is None:
+            K = self.K
+            keep = frozenset(nm for j in range(k + 1) for nm in K.simplices(j))
+            S = self._skeleta[k] = TwistedComplex(f"C({K.name}^{k})", K, self.G, "chain", keep)
+        return S
+
+    def layer(self, k: int) -> TwistedComplex:
+        R = self._layers.get(k)
+        if R is None:
+            K = self.K
+            R = self._layers[k] = TwistedComplex(
+                f"C({K.name}^{k},{K.name}^{k - 1})", K, self.G, "chain",
+                frozenset(K.simplices(k)),
+            )
+        return R
+
+
+def cellular_boundary_via_triple(K: DeltaComplex, G: LocalSystem, n: int, *,
+                                 skeleta: _Skeleta | None = None) -> Matrix:
     """The composite H_n(K^n, K^{n-1}) -> H_{n-1}(K^{n-1}) -> H_{n-1}(K^{n-1}, K^{n-2})
     expressed against the canonical bases of the skeleton pairs.
 
-    Built entirely from relative complexes, the snake-lemma connecting map,
-    and induced maps on homology; after the one-time global sign calibration
-    it equals the direct twisted boundary matrix entrywise.
+    Reads four complexes of the skeleton filtration of K, all built on K with
+    G itself: the skeleta C(K^{n-1}) and C(K^n) and the layers C(K^n, K^{n-1})
+    and C(K^{n-1}, K^{n-2}).  The composite is the snake-lemma connecting map
+    of 0 -> C(K^{n-1}) -> C(K^n) -> C(K^n, K^{n-1}) -> 0 followed by the map
+    the quotient C(K^{n-1}) -> C(K^{n-1}, K^{n-2}) induces on homology; after
+    the one-time global sign calibration it equals the direct twisted boundary
+    matrix entrywise.  `triple_checks` passes the filtration it shares between
+    degrees; a direct call builds the four complexes it reads.
     """
+    _require_base(K, G)
     if not (1 <= n <= K.dimension):
         raise TwistlabError(f"degree {n} out of range for {K.name!r}")
-    Kn = subcomplex_as_complex(skeleton_pair(K, n), f"{K.name}@{n}")
-    Gn = restrict_system(G, Kn)
-    lower = [nm for k in range(n) for nm in Kn.simplices(k)]
-    pair_n = subcomplex(Kn, lower)
-    subC, fullC, relC, sub_pos, rel_pos = _les_parts(pair_n, Gn, "homology")
-    conn = _connecting_map(fullC, relC, subC, rel_pos, sub_pos, n)
+    if skeleta is None:
+        skeleta = _Skeleta(K, G)
+    lower, upper = skeleta.skeleton(n - 1), skeleta.skeleton(n)
+    layer, lower_layer = skeleta.layer(n), skeleta.layer(n - 1)
+    lower_pos, layer_pos = _split_positions(upper, lower, layer, range(n + 1))
+    conn = _connecting_map(upper, layer, lower, layer_pos, lower_pos, n)
 
     # psi: canonical basis of the relative skeleton group at degree n.
-    psi = relC.class_coordinates(n, Matrix.identity(G.ring, relC.rank(n)))
+    psi = layer.class_coordinates(n, Matrix.identity(G.ring, layer.rank(n)))
 
-    # quotient map C(K^{n-1}) -> C(K^{n-1}, K^{n-2}); the latter is free on the
-    # (n-1)-cells with zero differential, kept here inside K^n.
-    relC1 = TwistedComplex(
-        f"C({K.name}@{n - 1},{K.name}@{n - 2})", Kn, Gn, "chain",
-        frozenset(Kn.simplices(n - 1)),
-    )
-    pos = {k: subC.positions_of(k, relC1.basis_names(k)) for k in subC.degree_span()}
-    q_ind = induced_map_on_homology(_projection_map(subC, relC1, pos, "quot"), n - 1)
+    # The quotient map C(K^{n-1}) -> C(K^{n-1}, K^{n-2}); the latter is free
+    # on the (n-1)-cells with zero differential.
+    pos = {k: lower.positions_of(k, lower_layer.basis_names(k)) for k in lower.degree_span()}
+    q_ind = induced_map_on_homology(_projection_map(lower, lower_layer, pos, "quot"), n - 1)
 
-    phi = relC1.homology(n - 1).representatives  # ambient == canonical basis
+    phi = lower_layer.homology(n - 1).representatives  # ambient == canonical basis
     composite = phi.mul(q_ind).mul(conn).mul(psi)
     if CELLULAR_TRIPLE_SIGN == -1:
         composite = composite.neg()
@@ -363,10 +400,25 @@ class TripleCheck:
 
 def triple_checks(C: TwistedComplex) -> list[TripleCheck]:
     """Compare the skeleton-triple boundary with the direct boundary of C, the
-    absolute chain complex of its base, in every positive degree."""
+    absolute chain complex of its base, in every positive degree.
+
+    One skeleton filtration of K = C.base serves every degree, with C itself
+    as its top skeleton: a d-dimensional K builds the skeleta C(K^0) ..
+    C(K^{d-1}) and the layers C(K^k, K^{k-1}) for k = 0 .. d, 2d + 1 complexes,
+    each once.  C must be the absolute chain complex, which the top skeleton
+    is; a cochain or relative complex raises TwistlabError.
+    """
+    K = C.base
+    if C.direction != "chain" or any(
+        C.basis_names(k) != K.simplices(k) for k in range(K.dimension + 1)
+    ):
+        raise TwistlabError(
+            f"the triple check needs the absolute chain complex of {K.name!r}, not {C.label}"
+        )
+    skeleta = _Skeleta(K, C.system, C)
     return [
-        TripleCheck(n, cellular_boundary_via_triple(C.base, C.system, n) == C.diff(n))
-        for n in range(1, C.base.dimension + 1)
+        TripleCheck(n, cellular_boundary_via_triple(K, C.system, n, skeleta=skeleta) == C.diff(n))
+        for n in range(1, K.dimension + 1)
     ]
 
 

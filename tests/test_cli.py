@@ -25,8 +25,11 @@ EXAMPLE_COMMANDS = [
     "les fixtures/disk.cx --sub fixtures/disk_boundary.sub",
     "les fixtures/torus.cx --sub fixtures/torus_vertex.sub --variant cohomology",
     "les fixtures/rp2.cx --sub fixtures/rp2_circle.sub",
+    "les fixtures/klein.cx --sub fixtures/klein_circle.sub",
+    "les fixtures/klein.cx --sub fixtures/klein_circle.sub --variant cohomology",
     "cellular-compare fixtures/rp2.cx",
     "cellular-compare fixtures/torus.cx --system fixtures/torus_ab.sys",
+    "cellular-compare fixtures/rp3.cx",
     "orientation fixtures/klein.cx",
     "orientation fixtures/sphere2.cx",
     "fundamental-class fixtures/rp2.cx",

@@ -1,8 +1,13 @@
+import random
+import re
+
 import pytest
 
 import twistlab as tl
+from twistlab import twisted
 from twistlab.cli import run_cli
-from twistlab.errors import ValidationError
+from twistlab.complexes import skeleton_pair, subcomplex_as_complex
+from twistlab.errors import TwistlabError, ValidationError
 from twistlab.matrices import Matrix
 
 from conftest import (
@@ -232,6 +237,132 @@ def test_cellular_boundary_rank_zero():
     G = tl.constant_system(K, 0, tl.Z)
     M = tl.cellular_boundary_via_triple(K, G, 2)
     assert M.nrows == 0 and M.ncols == 0
+
+
+def test_cellular_boundary_triple_rejects_a_system_on_another_complex():
+    # The edge names of torus_ab.sys are edges of the Klein bottle too.
+    K = load_complex("klein")
+    G = load_system("torus_ab.sys", load_complex("torus"))
+    with pytest.raises(ValidationError, match="lives on 'torus', not 'klein'"):
+        tl.cellular_boundary_via_triple(K, G, 1)
+    with pytest.raises(ValidationError):
+        tl.chain_complex(K, G)
+    for n in (0, 3):
+        with pytest.raises(TwistlabError, match=f"degree {n} out of range for 'klein'"):
+            tl.cellular_boundary_via_triple(K, tl.constant_system(K, 1, tl.Z), n)
+
+
+def test_triple_checks_refuses_what_it_cannot_check():
+    # A cochain complex or a relative complex is not the top of the skeleton
+    # filtration, so the triples cannot be compared with its differentials.
+    K = load_complex("torus")
+    G = tl.constant_system(K, 1, tl.Z)
+    for C in (
+        tl.cochain_complex(K, G),
+        tl.relative_complex(load_subcomplex("torus_vertex.sub", K), G, "chain"),
+    ):
+        with pytest.raises(TwistlabError, match=re.escape(f"of 'torus', not {C.label}")):
+            twisted.triple_checks(C)
+    assert all(t.ok for t in twisted.triple_checks(tl.chain_complex(K, G)))
+
+
+def reference_triple(K, G, n):
+    """The composite as it was computed from a copy of K^n, with G restricted
+    to the copy: the complexes of the pair (K^n, K^{n-1}) and the layer on
+    the (n-1)-cells, all built on the copy."""
+    Kn = subcomplex_as_complex(skeleton_pair(K, n), f"{K.name}@{n}")
+    Gn = tl.LocalSystem(f"{G.name}|{Kn.name}", Kn, G.ring, G.rank,
+                        {e: G.transport(e) for e in Kn.simplices(1)})
+    lower = frozenset(nm for k in range(n) for nm in Kn.simplices(k))
+    subC = tl.TwistedComplex("sub", Kn, Gn, "chain", lower)
+    fullC = tl.TwistedComplex("full", Kn, Gn, "chain", None)
+    relC = tl.TwistedComplex("rel", Kn, Gn, "chain", frozenset(Kn.simplices(n)))
+    sub_pos = fullC.positions_of(n - 1, [nm for nm in fullC.basis_names(n - 1) if nm in lower])
+    rel_pos = fullC.positions_of(n, [nm for nm in fullC.basis_names(n) if nm not in lower])
+    img = fullC.diff(n).select_cols(rel_pos).mul(relC.homology(n).representatives)
+    conn = subC.class_coordinates(n - 1, img.select_rows(sub_pos))
+    psi = relC.class_coordinates(n, Matrix.identity(G.ring, relC.rank(n)))
+    relC1 = tl.TwistedComplex("rel1", Kn, Gn, "chain", frozenset(Kn.simplices(n - 1)))
+    mats = {}
+    for k in subC.degree_span():
+        m = Matrix.zeros(G.ring, relC1.rank(k), subC.rank(k))
+        for i, p in enumerate(subC.positions_of(k, relC1.basis_names(k))):
+            m.rows[i][p] = G.ring.one()
+        mats[k] = m
+    quot = tl.ChainMapData("quot", subC, relC1, mats, 1)
+    q_ind = tl.induced_map_on_homology(quot, n - 1)
+    phi = relC1.homology(n - 1).representatives
+    return phi.mul(q_ind).mul(conn).mul(psi)
+
+
+TRIPLE_RINGS = [tl.Z, tl.Q, tl.prime_field(2), tl.prime_field(3)]
+
+
+def _fixture_triple_cases(rng):
+    for name in ["circle1", "circle3", "disk", "sphere2", "torus", "klein", "rp2", "rp3"]:
+        K = load_complex(name)
+        for ring in TRIPLE_RINGS:
+            for rank in (0, 1, 2):
+                yield f"{name} {ring.token} r{rank}", K, random_flat_system(name, rank, ring, rng)
+
+
+def _bench_triple_cases():
+    from inputs import klein_bottle, kuhn_torus, twisted_system
+
+    families = [kuhn_torus(1, 2), kuhn_torus(2, 2), kuhn_torus(3, 2), klein_bottle(3, 3),
+                kuhn_torus(1, 3)]
+    for gen in families:
+        for seed in range(3):
+            gen.shuffle(random.Random(f"triple/{seed}/{gen.name}"))
+            K = tl.parse_complex(gen.text())
+            for i, ring in enumerate(TRIPLE_RINGS):
+                yield f"{gen.name} shuffle {seed} {ring.token} r0", K, tl.constant_system(K, 0, ring)
+                for rank in (1, 2):
+                    text = twisted_system(gen, rank, ring.token,
+                                          random.Random(f"{seed}/{i}/{rank}"), "g").text()
+                    yield f"{gen.name} shuffle {seed} {ring.token} r{rank}", K, tl.parse_system(text, K)
+
+
+def test_triple_filtration_matches_the_copy_based_composite(rng):
+    cases = list(_fixture_triple_cases(rng)) + list(_bench_triple_cases())
+    assert {K.dimension for _, K, _ in cases} == {1, 2, 3}
+    for label, K, G in cases:
+        C = tl.chain_complex(K, G)
+        checks = twisted.triple_checks(C)
+        assert [t.degree for t in checks] == list(range(1, K.dimension + 1)), label
+        for t in checks:
+            ref = reference_triple(K, G, t.degree)
+            assert tl.cellular_boundary_via_triple(K, G, t.degree) == ref, (label, t.degree)
+            assert t.ok == (ref == C.diff(t.degree)), (label, t.degree)
+        assert all(t.ok for t in checks), label
+
+
+def test_triple_checks_builds_each_skeleton_and_layer_once(monkeypatch):
+    # A d-dimensional K builds the skeleta C(K^0) .. C(K^{d-1}) and the layers
+    # C(K^k, K^{k-1}) for k = 0 .. d: 2d + 1 complexes, C itself serving as
+    # the top skeleton.  Only the layer on the vertices repeats a skeleton.
+    builds = []
+    init = twisted.TwistedComplex.__init__
+
+    def counting_init(self, label, base, system, direction, keep):
+        builds.append(keep)
+        init(self, label, base, system, direction, keep)
+
+    monkeypatch.setattr(twisted.TwistedComplex, "__init__", counting_init)
+    for name in ["circle1", "torus", "rp3"]:
+        K = load_complex(name)
+        C = tl.chain_complex(K, load_system("torus_ab.sys", K) if name == "torus"
+                             else tl.constant_system(K, 1, tl.Z))
+        builds.clear()
+        assert all(t.ok for t in twisted.triple_checks(C)), name
+        d = K.dimension
+        assert len(builds) == 2 * d + 1, name
+        skeleta = [frozenset(nm for j in range(k + 1) for nm in K.simplices(j)) for k in range(d)]
+        layers = [frozenset(K.simplices(k)) for k in range(d + 1)]
+        assert sorted(builds, key=sorted) == sorted(skeleta + layers, key=sorted), name
+        builds.clear()
+        tl.cellular_boundary_via_triple(K, C.system, d)
+        assert len(builds) == 4, name
 
 
 def test_compare_les_absolute_degenerates():
