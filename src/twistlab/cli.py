@@ -19,7 +19,7 @@ from .complexes import (
     pseudomanifold_check,
 )
 from .duality import duality_report, fundamental_class
-from .errors import TwistlabError
+from .errors import ParseError, TwistlabError
 from .homology import ModulePresentation, induced_map_on_homology, is_quasi_iso
 from .maps import parse_map
 from .matrices import Matrix
@@ -94,16 +94,26 @@ def parse_groups_tsv(text: str):
     """Parse tab-separated group rows back into presentation data.
 
     Returns a list of (kind, degree, ring, rank, invariants) tuples; used by
-    the round-trip tests and by downstream tooling.
+    the round-trip tests and by downstream tooling.  A group row with the
+    wrong number of fields, a non-integer field, or data that is no
+    presentation raises ParseError with its line number.
     """
     rows = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), 1):
         parts = line.split("\t")
         if parts[0] not in ("H", "Hco"):
             continue
-        ring = ring_from_token(parts[2])
-        inv = tuple(int(x) for x in parts[4].split(",") if x)
-        rows.append((parts[0], int(parts[1]), ring, int(parts[3]), inv))
+        if len(parts) != 5:
+            raise ParseError(f"group row has {len(parts)} fields, not 5", lineno)
+        try:
+            row = (parts[0], int(parts[1]), ring_from_token(parts[2]), int(parts[3]),
+                   tuple(int(x) for x in parts[4].split(",") if x))
+            presentation_from_row(row)
+        except ValueError:
+            raise ParseError(f"non-integer field in group row {line!r}", lineno) from None
+        except TwistlabError as exc:
+            raise ParseError(str(exc), lineno) from None
+        rows.append(row)
     return rows
 
 

@@ -125,7 +125,7 @@ def _cap_matrix(K: DeltaComplex, G: LocalSystem, H: LocalSystem, k: int, m: int,
     ident = Matrix.identity(ring, dG)
     for si, nm in enumerate(m_simplices):
         u = chain[si * dH : (si + 1) * dH]
-        if all(ring.is_zero(x) for x in u):
+        if not any(u):
             continue
         if sign == -1:
             u = [ring.neg(x) for x in u]

@@ -2,9 +2,12 @@
 
 Over Z a homology group is presented by Smith normal form: a free rank, a
 divisibility chain of invariant factors, and one representative cycle per
-generator (torsion generators first, then free ones).  Over Q or F_p the same
-code path degenerates to ranks.  Induced maps, mapping cones, and exactness
-checking of assembled sequences all run through these presentations.
+generator (torsion generators first, then free ones).  The code reads the
+normalized SNF diagonal the same way over every ring: 1 means killed, 0 means
+free, and any other entry d >= 2 is torsion, which only Z produces; over Q or
+F_p every nonzero diagonal entry is 1, so only ranks remain.  Induced maps,
+mapping cones, and exactness checking of assembled sequences all run through
+these presentations.
 
 A group alone (`FreeComplex.group`, and `is_acyclic` through it) needs only
 ranks and invariant factors, so it runs one transform-free elimination per
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import TwistlabError
+from .errors import RingMismatchError, TwistlabError
 from .matrices import (
     SNF,
     Matrix,
@@ -106,13 +109,13 @@ class FreeComplex:
     def group(self, k: int) -> "ModulePresentation":
         """The degree-k group without representatives: its rank is
         rank C_k - rank d_k - rank d_in, and its invariant factors are the
-        non-unit diagonal entries of d_in, the differential into degree k.
-        Relies on d.d = 0, checked when the complex is built."""
+        diagonal entries of d_in, the differential into degree k, other
+        than 1.  Relies on d.d = 0, checked when the complex is built."""
         if k in self._homology:
             return self._homology[k][0]
         _, r_out = self._diagonal(k)
         diag_in, r_in = self._diagonal(self._source_degree(k))
-        invariants = () if self.ring.is_field else tuple(d for d in diag_in[:r_in] if d >= 2)
+        invariants = tuple(d for d in diag_in[:r_in] if d != 1)
         return ModulePresentation(self.ring, self.rank(k) - r_out - r_in, invariants,
                                   self.rank(k))
 
@@ -130,11 +133,10 @@ class FreeComplex:
             raise TwistlabError(f"{self.label}: a column at degree {k} is not in the cycle module")
         zeta = coords.select_rows(range(ctx.r, coords.nrows))
         gamma = ctx.uprime.select_rows(ctx.kept).mul(zeta)
-        if not self.ring.is_field:
-            for row, i in zip(gamma.rows, ctx.kept):
-                d = ctx.orders[i]
-                if d >= 2:
-                    row[:] = [c % d for c in row]
+        for row, i in zip(gamma.rows, ctx.kept):
+            d = ctx.orders[i]
+            if d:
+                row[:] = [c % d for c in row]
         return gamma
 
     def is_acyclic(self) -> bool:
@@ -157,6 +159,8 @@ class ModulePresentation:
     representatives: Matrix | None = None
 
     def __post_init__(self):
+        if self.rank < 0:
+            raise TwistlabError(f"negative rank {self.rank}")
         for a, b in zip(self.invariants, self.invariants[1:]):
             if b % a != 0:
                 raise TwistlabError(f"invariant factors {self.invariants} not a chain")
@@ -239,26 +243,11 @@ def presentation_of_quotient(diff_snf: SNF, boundaries: Matrix):
     if not coords.select_rows(range(r)).is_zero():
         raise TwistlabError("boundaries do not lie in the cycle module")
     snf = smith_normal_form(coords.select_rows(range(r, ambient)))
-    orders = []
-    for i in range(z):
-        if i < snf.rank:
-            d = snf.D.rows[i][i]
-            orders.append(d if not ring.is_field else ring.one())
-        else:
-            orders.append(ring.zero() if ring.is_field else 0)
-    if ring.is_field:
-        kept = [i for i in range(z) if ring.is_zero(orders[i])]
-        invariants = ()
-    else:
-        kept = [i for i in range(z) if orders[i] != 1]
-        invariants = tuple(orders[i] for i in kept if orders[i] >= 2)
-    gens = cycles.mul(snf.Uinv)
-    reps = gens.select_cols(kept)
-    rank = sum(
-        1 for i in kept
-        if (ring.is_zero(orders[i]) if ring.is_field else orders[i] == 0)
-    )
-    pres = ModulePresentation(ring, rank, invariants, ambient, reps)
+    orders = snf.diagonal[:snf.rank] + [ring.zero()] * (z - snf.rank)
+    kept = [i for i in range(z) if orders[i] != 1]
+    invariants = tuple(orders[i] for i in kept if orders[i])
+    reps = cycles.mul(snf.Uinv).select_cols(kept)
+    pres = ModulePresentation(ring, len(kept) - len(invariants), invariants, ambient, reps)
     return pres, _QuotientContext(diff_snf.Vinv, r, snf.U, orders, kept)
 
 
@@ -321,23 +310,21 @@ class ChainMapData:
 
 def induced_map_on_homology(F: ChainMapData, k: int) -> Matrix:
     """Matrix of the induced map between homology presentations at degree k."""
-    ring = F.ring
     src = F.source.homology(k)
     tgt = F.target.homology(k)
     out = F.target.class_coordinates(k, F.matrix(k).mul(src.representatives))
     # Torsion-order compatibility: order(source gen) must kill the image.
-    if not ring.is_field:
-        tgt_orders = tgt.relation_orders()
-        for j, d in enumerate(src.relation_orders()):
-            if d == 0:
-                continue
-            for i in range(tgt.generators):
-                v = d * out.rows[i][j]
-                di = tgt_orders[i]
-                if (di == 0 and v != 0) or (di != 0 and v % di != 0):
-                    raise TwistlabError(
-                        f"{F.label}: induced map ill-defined at degree {k}"
-                    )
+    tgt_orders = tgt.relation_orders()
+    for j, d in enumerate(src.relation_orders()):
+        if d == 0:
+            continue
+        for i in range(tgt.generators):
+            v = d * out.rows[i][j]
+            di = tgt_orders[i]
+            if (di == 0 and v != 0) or (di != 0 and v % di != 0):
+                raise TwistlabError(
+                    f"{F.label}: induced map ill-defined at degree {k}"
+                )
     return out
 
 
@@ -350,12 +337,11 @@ def maps_equal_mod(target: ModulePresentation, A: Matrix, B: Matrix) -> bool:
     for i in range(A.nrows):
         d = orders[i]
         for a, b in zip(A.rows[i], B.rows[i]):
-            if ring.is_field or d == 0:
-                if not ring.is_zero(ring.sub(a, b)):
-                    return False
-            else:
-                if (a - b) % d != 0:
-                    return False
+            r = ring.sub(a, b)
+            if d:
+                r = ring.divmod(r, d)[1]
+            if r:
+                return False
     return True
 
 
@@ -449,11 +435,17 @@ def exactness_check(modules: list[ModulePresentation],
     """Treat the sequence as a complex of f.g. modules; im = ker at each node.
 
     maps[i] sends modules[i] to modules[i+1] in presentation coordinates; the
-    ends are implicitly extended by zero modules.
+    ends are implicitly extended by zero modules.  labels, when given, name
+    the modules one each.
     """
     if len(maps) != len(modules) - 1:
         raise TwistlabError("need one map between each consecutive pair")
+    if labels is not None and len(labels) != len(modules):
+        raise TwistlabError(f"{len(labels)} labels for {len(modules)} modules")
     ring = modules[0].ring
+    for x in modules + maps:
+        if x.ring != ring:
+            raise RingMismatchError(f"exact sequence over {ring} has a term over {x.ring}")
     for i, m in enumerate(maps):
         if m.nrows != modules[i + 1].generators or m.ncols != modules[i].generators:
             raise TwistlabError(f"map {i} has the wrong shape for its presentations")
@@ -488,11 +480,6 @@ def exactness_check(modules: list[ModulePresentation],
             hom_zero = False
         else:
             snf = smith_normal_form(Y)
-            hom_zero = snf.rank == B_L.ncols and all(
-                (snf.D.rows[i_][i_] == 1)
-                if not ring.is_field
-                else ring.is_unit(snf.D.rows[i_][i_])
-                for i_ in range(snf.rank)
-            )
+            hom_zero = snf.rank == B_L.ncols and all(d == 1 for d in snf.diagonal[:snf.rank])
         report.nodes.append(NodeCheck(label, comp_ok, hom_zero))
     return report

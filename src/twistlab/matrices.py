@@ -1,12 +1,15 @@
 """Dense exact matrices over Z, Q, or a prime field, and Smith normal form.
 
-All homology computations reduce to the routines here.  Over the integers the
-diagonalization keeps unimodular transform matrices so kernels, solutions of
-linear systems, and quotient presentations are exact; over fields the same
-interface degenerates to Gaussian elimination.  `smith_normal_form` returns
-the diagonal with both transforms and their inverses; `smith_diagonal` runs
-the same elimination without transforms and returns only the diagonal and
-the rank, which is all that ranks and invariant factors need.
+All homology computations reduce to the routines here.  One Euclidean
+elimination serves every ring: the ring says how big an element is, how to
+divide with remainder and which unit normalizes a pivot (see `Ring`).  Over
+the integers it keeps unimodular transform matrices, so kernels, solutions
+of linear systems, and quotient presentations are exact; over a field every
+nonzero entry is a unit, every remainder is zero, and the same code is
+Gaussian elimination.  `smith_normal_form` returns the diagonal with both
+transforms and their inverses; `smith_diagonal` runs the same elimination
+without transforms and returns only the diagonal and the rank, which is all
+that ranks and invariant factors need.
 
 Storage is dense (a list of row lists), but the matrices that arise are
 sparse: a boundary matrix of a rank-d local system has at most (k+1)*d^2
@@ -23,7 +26,6 @@ calling the ring.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .errors import CapacityError, RingMismatchError, TwistlabError
@@ -97,9 +99,6 @@ class Matrix:
 
     def is_zero(self):
         return not any(map(any, self.rows))
-
-    def entry(self, i, j):
-        return self.rows[i][j]
 
     def col(self, j):
         return [row[j] for row in self.rows]
@@ -269,47 +268,33 @@ class SNF:
             d = diag[i] if i < len(diag) else rg.zero()
             for j in range(B.ncols):
                 c = C.rows[i][j]
-                if not d:
-                    if c:
+                if c:
+                    if not d:
                         return None
-                else:
-                    if rg.is_field:
-                        Y.rows[i][j] = rg.exact_div(c, d)
-                    else:
-                        q, r = divmod(c, d)
-                        if r != 0:
-                            return None
-                        Y.rows[i][j] = q
+                    q, r = rg.divmod(c, d)
+                    if r:
+                        return None
+                    Y.rows[i][j] = q
         return self.V.mul(Y)
 
 
-def _find_pivot_z(rows, t, m, n):
-    """The nonzero entry of least absolute value in the submatrix from (t, t),
-    ties going to the lowest row, then column.  A unit is least, so the first
-    +-1 in row-major order is the answer and ends the scan."""
+def _find_pivot(rows, t, m, n, size):
+    """The nonzero entry of least Euclidean size in the submatrix from (t, t),
+    ties going to the lowest row, then column.  A unit (size 1) is least, so
+    the first unit in row-major order is the answer and ends the scan; over a
+    field that is the first nonzero entry."""
     best = None
     for i in range(t, m):
         ri = rows[i]
         for j in range(t, n):
             a = ri[j]
-            if a != 0:
-                if a == 1 or a == -1:
+            if a:
+                s = size(a)
+                if s == 1:
                     return i, j
-                key = (abs(a), i, j)
-                if best is None or key < best:
-                    best = key
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
-def _find_pivot_field(rows, t, m, n):
-    for i in range(t, m):
-        ri = rows[i]
-        for j in range(t, n):
-            if ri[j]:
-                return i, j
-    return None
+                if best is None or s < best[0]:
+                    best = (s, i, j)
+    return None if best is None else best[1:]
 
 
 def _swap_rows(mat, i, j):
@@ -378,10 +363,12 @@ def _check_capacity(m, n, entries):
 def smith_normal_form(A: Matrix) -> SNF:
     """Diagonalize A by invertible row/column operations.
 
-    Over Z the pivot is the smallest-absolute-value nonzero entry (ties: lowest
-    row, then column), quotients use floor division against a positive pivot,
-    and the final diagonal satisfies d_1 | d_2 | ... with d_i > 0.  Over fields
-    the diagonal is 1,...,1,0,...  Output is deterministic for a fixed input.
+    The pivot is the nonzero entry of least Euclidean size (ties: lowest
+    row, then column), scaled by the ring's normalizing unit, and quotients
+    are the ring's division with remainder.  Over Z that is the least
+    absolute value, a positive pivot and floor division, and the final
+    diagonal satisfies d_1 | d_2 | ... with d_i > 0.  Over fields the
+    diagonal is 1,...,1,0,...  Output is deterministic for a fixed input.
 
     Each row operation on U is the inverse column operation on U^-1, kept
     transposed so that it is a row operation too; each column operation on V
@@ -416,70 +403,35 @@ def smith_diagonal(A: Matrix) -> tuple[list, int]:
 
 def _eliminate(D, T, m, n, rg):
     """Diagonalize the rows D in place and return the rank; T is the tuple
-    (U, Ut, V, Vi) of transforms to update alongside, or None."""
-    if rg.is_field:
-        return _snf_field(D, T, m, n, rg)
-    return _snf_int(D, T, m, n)
+    (U, Ut, V, Vi) of transforms to update alongside, or None.
 
-
-def _snf_field(D, T, m, n, rg):
+    Rows above t and columns left of t are already zero in column t and row
+    t, as every earlier pivot's row and column were cleared, so each sweep
+    starts at t + 1.  A unit pivot (d == 1, always so over a field) divides
+    with no call: the quotient is the entry.  A nonzero remainder, which only
+    Z leaves, is smaller than the pivot and is picked as the next one.
+    """
     U, Ut, V, Vi = T or (None,) * 4
-    add, sub, mul = rg.add, rg.sub, rg.mul
+    add, sub, mul, size, quo = rg.add, rg.sub, rg.mul, rg.size, rg.divmod
     t = 0
     while True:
-        piv = _find_pivot_field(D, t, m, n)
-        if piv is None:
-            break
-        _move_pivot(D, T, t, *piv)
-        p = D[t][t]
-        inv = rg.inv(p)
-        _scale(D[t], inv, mul)
-        if T:
-            _scale(U[t], inv, mul)
-            _scale(Ut[t], p, mul)
-        for i in range(m):
-            c = D[i][t]
-            if c and i != t:
-                _add_multiple(D[i], D[t], c, sub, mul)
-                if T:
-                    _add_multiple(U[i], U[t], c, sub, mul)
-                    _add_multiple(Ut[t], Ut[i], c, add, mul)
-        drows = _rows_with_nonzero(D, t)
-        vrows = _rows_with_nonzero(V, t) if T else ()
-        for j in range(n):
-            c = D[t][j]
-            if c and j != t:
-                for row in drows:
-                    row[j] = sub(row[j], mul(c, row[t]))
-                for row in vrows:
-                    row[j] = sub(row[j], mul(c, row[t]))
-                if T:
-                    _add_multiple(Vi[t], Vi[j], c, add, mul)
-        t += 1
-    return t
-
-
-def _snf_int(D, T, m, n):
-    U, Ut, V, Vi = T or (None,) * 4
-    add, sub, mul = operator.add, operator.sub, operator.mul
-    t = 0
-    while True:
-        piv = _find_pivot_z(D, t, m, n)
+        piv = _find_pivot(D, t, m, n, size)
         if piv is None:
             break
         _move_pivot(D, T, t, *piv)
         while True:
-            if D[t][t] < 0:
-                D[t] = [-x for x in D[t]]
+            u = rg.normalizer(D[t][t])
+            if u != 1:
+                _scale(D[t], u, mul)
                 if T:
-                    U[t] = [-x for x in U[t]]
-                    Ut[t] = [-x for x in Ut[t]]
+                    _scale(U[t], u, mul)
+                    _scale(Ut[t], rg.inv(u), mul)
             d = D[t][t]
             dirty = False
             for i in range(t + 1, m):
                 a = D[i][t]
                 if a:
-                    q = a // d
+                    q = a if d == 1 else quo(a, d)[0]
                     if q:
                         _add_multiple(D[i], D[t], q, sub, mul)
                         if T:
@@ -492,40 +444,34 @@ def _snf_int(D, T, m, n):
             for j in range(t + 1, n):
                 a = D[t][j]
                 if a:
-                    q = a // d
+                    q = a if d == 1 else quo(a, d)[0]
                     if q:
                         for row in drows:
-                            row[j] -= q * row[t]
+                            row[j] = sub(row[j], mul(q, row[t]))
                         for row in vrows:
-                            row[j] -= q * row[t]
+                            row[j] = sub(row[j], mul(q, row[t]))
                         if T:
                             _add_multiple(Vi[t], Vi[j], q, add, mul)
                     if D[t][j]:
                         dirty = True
             if dirty:
-                # Remainders smaller than the pivot appeared; re-pick.
-                _move_pivot(D, T, t, *_find_pivot_z(D, t, m, n))
+                _move_pivot(D, T, t, *_find_pivot(D, t, m, n, size))
                 continue
             # Row and column are clear; enforce divisibility into the rest,
             # which a unit pivot has already.
-            d = D[t][t]
             if d == 1:
                 break
-            offender = None
-            for i in range(t + 1, m):
-                ri = D[i]
-                for j in range(t + 1, n):
-                    if ri[j] % d != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (i for i in range(t + 1, m) if any(quo(x, d)[1] for x in D[i][t + 1:n])),
+                None,
+            )
             if offender is None:
                 break
-            _add_multiple(D[t], D[offender], 1, add, mul)
+            one = rg.one()
+            _add_multiple(D[t], D[offender], one, add, mul)
             if T:
-                _add_multiple(U[t], U[offender], 1, add, mul)
-                _add_multiple(Ut[offender], Ut[t], 1, sub, mul)
+                _add_multiple(U[t], U[offender], one, add, mul)
+                _add_multiple(Ut[offender], Ut[t], one, sub, mul)
         t += 1
     return t
 

@@ -1,11 +1,13 @@
 """Exact coefficient rings: integers, rationals, and prime fields.
 
 Ring elements are plain Python values (int, Fraction, int residue); the ring
-object supplies arithmetic so matrix code can stay ring-generic.
+object supplies arithmetic and its Euclidean structure, so matrix and
+homology code can stay ring-generic.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import TwistlabError
@@ -19,6 +21,14 @@ class Ring:
     `from_int`, `parse` and the ring's arithmetic, which all return canonical
     values.  So an element is zero exactly when it is falsy, and `not a` is
     the zero test that matrix code uses in place of `is_zero`.
+
+    Every ring here is Euclidean, and that is all Smith normal form asks of
+    it: `size` measures a nonzero element and is 1 exactly on the units,
+    `divmod(a, b)` returns (q, r) with a = q*b + r and r zero or of smaller
+    size than b, and `normalizer(a)` is the unit u for which u*a is the
+    canonical associate of a nonzero a.  Over Z these are abs, floor
+    division and the sign (u*a = |a|); over a field every nonzero element
+    has size 1, the remainder is always zero, and u*a = 1.
     """
 
     token: str
@@ -55,9 +65,26 @@ class Ring:
         """Inverse of a unit."""
         raise NotImplementedError
 
+    def size(self, a) -> int:
+        """Euclidean size of a nonzero element; 1 exactly for the units."""
+        raise NotImplementedError
+
+    def divmod(self, a, b):
+        """(q, r) with a = q*b + r and r zero or smaller in size than b != 0."""
+        raise NotImplementedError
+
+    def normalizer(self, a):
+        """The unit u that makes u*a the canonical associate of a nonzero a."""
+        raise NotImplementedError
+
     def exact_div(self, a, b):
         """a / b when b divides a exactly; raises otherwise."""
-        raise NotImplementedError
+        if not b:
+            raise TwistlabError(f"division by zero in {self.token}")
+        q, r = self.divmod(a, b)
+        if r:
+            raise TwistlabError(f"{b} does not divide {a} in {self.token}")
+        return q
 
     def parse(self, text: str):
         raise NotImplementedError
@@ -79,20 +106,15 @@ class IntegerRing(Ring):
     token = "Z"
     is_field = False
 
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+    size = staticmethod(abs)
+    divmod = staticmethod(divmod)
+
     def from_int(self, n):
         return int(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def is_zero(self, a):
         return a == 0
@@ -105,11 +127,8 @@ class IntegerRing(Ring):
             raise TwistlabError(f"{a} is not a unit in Z")
         return a
 
-    def exact_div(self, a, b):
-        q, r = divmod(a, b)
-        if r != 0:
-            raise TwistlabError(f"{b} does not divide {a} in Z")
-        return q
+    def normalizer(self, a):
+        return 1 if a > 0 else -1
 
     def parse(self, text):
         try:
@@ -148,10 +167,14 @@ class RationalField(Ring):
             raise TwistlabError("0 is not a unit in Q")
         return 1 / Fraction(a)
 
-    def exact_div(self, a, b):
-        if b == 0:
-            raise TwistlabError("division by zero in Q")
-        return Fraction(a) / b
+    def size(self, a):
+        return 1
+
+    def divmod(self, a, b):
+        return a / b, Fraction(0)
+
+    def normalizer(self, a):
+        return self.inv(a)
 
     def parse(self, text):
         try:
@@ -215,8 +238,14 @@ class PrimeField(Ring):
             raise TwistlabError(f"0 is not a unit in {self.token}")
         return pow(a, -1, self.p)
 
-    def exact_div(self, a, b):
-        return self.mul(a, self.inv(b))
+    def size(self, a):
+        return 1
+
+    def divmod(self, a, b):
+        return self.mul(a, self.inv(b)), 0
+
+    def normalizer(self, a):
+        return self.inv(a)
 
     def parse(self, text):
         try:

@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from twistlab import cli
+from twistlab.errors import ParseError
 from twistlab.cli import parse_groups_tsv, presentation_from_row, run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,9 +30,12 @@ EXAMPLE_COMMANDS = [
     "les fixtures/rp2.cx --sub fixtures/rp2_circle.sub",
     "les fixtures/klein.cx --sub fixtures/klein_circle.sub",
     "les fixtures/klein.cx --sub fixtures/klein_circle.sub --variant cohomology",
+    "les fixtures/klein.cx --sub fixtures/klein_circle.sub --ring F2",
+    "les fixtures/klein.cx --sub fixtures/klein_circle.sub --ring Q --variant cohomology",
     "cellular-compare fixtures/rp2.cx",
     "cellular-compare fixtures/torus.cx --system fixtures/torus_ab.sys",
     "cellular-compare fixtures/rp3.cx",
+    "cellular-compare fixtures/rp3.cx --ring F2",
     "orientation fixtures/klein.cx",
     "orientation fixtures/sphere2.cx",
     "fundamental-class fixtures/rp2.cx",
@@ -38,8 +44,12 @@ EXAMPLE_COMMANDS = [
     "duality fixtures/torus.cx --system fixtures/torus_ab.sys",
     "duality fixtures/rp3.cx --format tsv",
     "duality fixtures/circle3.cx --system fixtures/circle3_signs.sys",
+    "duality fixtures/klein.cx --ring F2",
+    "duality fixtures/rp2.cx --ring F3 --format tsv",
     "map fixtures/wrap.map --system fixtures/minus1.sys",
     "map fixtures/collapse.map",
+    "map fixtures/wrap.map --ring Q",
+    "map fixtures/wrap.map --ring F3",
 ]
 
 
@@ -156,6 +166,20 @@ def test_tsv_round_trip():
                 f"{row[0]}\t{row[1]}\t{pres.ring.token}\t{pres.rank}\t{inv}"
             )
         assert rendered == [l for l in text.splitlines() if l.split("\t")[0] in ("H", "Hco")]
+
+
+def test_tsv_parser_rejects_malformed_rows_with_their_line():
+    good = "H\t0\tZ\t1\t\n"
+    for bad in (
+        "H\t0\tZ",              # too few fields
+        "Hco\t1\tQ\t1\t\textra",  # too many
+        "H\tone\tZ\t1\t",       # non-integer degree
+        "H\t0\tZ\t1\t2,x",      # non-integer invariant
+        "H\t0\tZ\t-1\t",        # negative rank
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_groups_tsv(good + bad)
+        assert info.value.line == 2, bad
 
 
 def test_degree_filter():

@@ -2,7 +2,7 @@
 import pytest
 
 import twistlab as tl
-from twistlab.errors import TwistlabError
+from twistlab.errors import RingMismatchError, TwistlabError
 from twistlab.homology import (
     ChainMapData,
     FreeComplex,
@@ -270,6 +270,21 @@ def test_exactness_over_field():
     rep = tl.exactness_check([zero, Q1, Qv, Q1, zero],
                              [Matrix.zeros(tl.Q, 1, 0), inc, proj, Matrix.zeros(tl.Q, 0, 1)])
     assert rep.all_exact
+
+
+def test_exactness_check_refuses_misuse():
+    Zp = free_presentation(tl.Z, 1)
+    with pytest.raises(TwistlabError, match="labels"):
+        tl.exactness_check([Zp, Zp], [M([[1]])], ["only one"])
+    with pytest.raises(RingMismatchError):
+        tl.exactness_check([Zp, free_presentation(tl.Q, 1)], [M([[1]])])
+    with pytest.raises(RingMismatchError):
+        tl.exactness_check([Zp, Zp], [Matrix.identity(tl.Q, 1)])
+
+
+def test_presentations_refuse_a_negative_rank():
+    with pytest.raises(TwistlabError, match="negative rank"):
+        tl.ModulePresentation(tl.Z, -1, ())
 
 
 def test_presentation_iso_detects_non_iso():

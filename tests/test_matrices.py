@@ -400,6 +400,43 @@ def test_ring_elements_are_zero_exactly_when_falsy(ring):
     _assert_zero_exactly_when_falsy(ring, results, "arithmetic")
 
 
+def _is_canonical(ring, x):
+    if ring == Z:
+        return type(x) is int
+    if ring == Q:
+        return type(x) is Fraction
+    return type(x) is int and 0 <= x < ring.p
+
+
+@pytest.mark.parametrize("ring", CONTRACT_RINGS, ids=str)
+def test_ring_euclidean_structure(ring):
+    # The elimination reads only these three methods to pick, normalize and
+    # clear pivots, so they must hold on every element, units and zero included.
+    rng = random.Random(2718)
+    values = [ring.zero(), ring.one(), ring.from_int(-1)]
+    for _ in range(300):
+        a = rng.randint(-60, 60)
+        values.append(ring.parse(f"{a}/{rng.randint(1, 9)}" if ring == Q else str(a)))
+    results = []
+    for _ in range(2000):
+        a, b = rng.choice(values), rng.choice(values)
+        if b:
+            q, r = ring.divmod(a, b)
+            assert ring.add(ring.mul(q, b), r) == a, (ring, a, b)
+            assert not r or ring.size(r) < ring.size(b), (ring, a, b)
+            results += [q, r]
+    for a in values:
+        if a:
+            assert (ring.size(a) == 1) == ring.is_unit(a), (ring, a)
+            assert ring.size(a) >= 1
+            u = ring.normalizer(a)
+            assert ring.is_unit(u)
+            assert ring.mul(u, a) == (abs(a) if ring == Z else ring.one()), (ring, a)
+            results.append(u)
+    assert all(_is_canonical(ring, x) for x in values + results)
+    _assert_zero_exactly_when_falsy(ring, results, "euclidean")
+
+
 def test_differentials_on_the_fixtures_are_zero_exactly_when_falsy(rng):
     cases = [
         (name, random_flat_system(name, rank, ring, rng))
