@@ -10,8 +10,10 @@ mapping cones, and exactness checking of assembled sequences all run through
 these presentations.
 
 A group alone (`FreeComplex.group`, and `is_acyclic` through it) needs only
-ranks and invariant factors, so it runs one transform-free elimination per
-differential, kept for every degree that differential touches.
+ranks and invariant factors, so it reads one `smith_diagonal` per
+differential, kept for every degree that differential touches: a sparse
+elimination of unit pivots, then a dense transform-free elimination of what
+is left.
 Representatives (`FreeComplex.homology`) take two SNFs per degree: one of its
 differential, whose V holds the cycle basis and whose V^-1 gives cycle
 coordinates, and one of the boundaries' cycle coordinates, whose U^-1 gives
@@ -479,7 +481,7 @@ def exactness_check(modules: list[ModulePresentation],
         if Y is None:
             hom_zero = False
         else:
-            snf = smith_normal_form(Y)
-            hom_zero = snf.rank == B_L.ncols and all(d == 1 for d in snf.diagonal[:snf.rank])
+            diag, rank = smith_diagonal(Y)
+            hom_zero = rank == B_L.ncols and all(d == 1 for d in diag[:rank])
         report.nodes.append(NodeCheck(label, comp_ok, hom_zero))
     return report

@@ -7,9 +7,13 @@ the integers it keeps unimodular transform matrices, so kernels, solutions
 of linear systems, and quotient presentations are exact; over a field every
 nonzero entry is a unit, every remainder is zero, and the same code is
 Gaussian elimination.  `smith_normal_form` returns the diagonal with both
-transforms and their inverses; `smith_diagonal` runs the same elimination
-without transforms and returns only the diagonal and the rank, which is all
-that ranks and invariant factors need.
+transforms and their inverses.  `smith_diagonal` returns only the diagonal
+and the rank, which is all that ranks and invariant factors need: it first
+eliminates unit pivots on sparse rows, picked by a Markowitz-style rule
+(Dumas, Saunders and Villard, JSC 2001), and runs the same elimination,
+without transforms, on the dense remainder.  A unit pivot splits off a 1 by
+invertible row and column operations, so the Smith form, which is unique,
+and with it the diagonal, is the one the dense elimination alone gives.
 
 Storage is dense (a list of row lists), but the matrices that arise are
 sparse: a boundary matrix of a rank-d local system has at most (k+1)*d^2
@@ -17,7 +21,8 @@ nonzeros per column.  So products visit only nonzero entries, and every row
 and column operation of SNF updates, in place, only the positions where the
 row or column being added is nonzero; adding zero would leave the entry as
 it is.  Each product entry is still summed over the inner index in
-increasing order, and the pivots and operations are those of a dense sweep.
+increasing order, and the pivots and operations of `smith_normal_form` are
+those of a dense sweep.
 
 Entries are canonical ring elements (see `Ring`), so an entry is zero
 exactly when it is falsy, and zero tests here read `not a` instead of
@@ -26,7 +31,9 @@ calling the ring.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import CapacityError, RingMismatchError, TwistlabError
 from .rings import Ring, Z
@@ -390,15 +397,77 @@ def smith_normal_form(A: Matrix) -> SNF:
 def smith_diagonal(A: Matrix) -> tuple[list, int]:
     """The diagonal of A's Smith normal form and its rank, without transforms.
 
-    The elimination is the one `smith_normal_form` runs, with the same pivots
-    and the same operations on D, so the diagonal is the same; only the
-    updates of U, V and their inverses are skipped.
+    A sparse pass first eliminates unit pivots.  Rows are held as dicts of
+    their nonzero entries, with the set of rows in each column, and a heap
+    keyed on row length picks the next row; in it, the unit whose column is
+    shortest is the pivot.  Subtracting multiples of the pivot row clears its
+    column (the Schur-complement update: cancelled entries are deleted and
+    fill-in joins its column's set), and the pivot row and column are
+    dropped.  A row with no unit waits until an elimination changes it.
+    Eliminating a unit is an invertible row and column operation that leaves
+    diag(1, S), so A has the Smith form of S with one more 1 in front, and
+    the invariant factors and rank are those the dense elimination finds.
+    What is left, the nonzero rows and columns of S, goes densely through the
+    elimination `smith_normal_form` runs, with no transforms.  Neither part
+    ever holds more than the m x n entries of A.
     """
     m, n = A.nrows, A.ncols
     _check_capacity(m, n, m * n)
-    D = [row[:] for row in A.rows]
-    rank = _eliminate(D, None, m, n, A.ring)
-    return [D[i][i] for i in range(min(m, n))], rank
+    rg = A.ring
+    add, mul, size = rg.add, rg.mul, rg.size
+    # compress walks the dense row in C and yields only the nonzero columns.
+    rows = [{j: row[j] for j in compress(range(n), row)} for row in A.rows]
+    cols = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
+    heapq.heapify(heap)
+    units = 0
+    while heap:
+        length, p = heapq.heappop(heap)
+        prow = rows[p]
+        if length != len(prow):
+            continue
+        c = None
+        for j, a in prow.items():
+            if size(a) == 1 and (c is None or len(cols[j]) < len(cols[c])):
+                c = j
+        if c is None:
+            continue
+        # Row i gains -(b / a) * row p, b = row_i[c]; w = -a^-1 scales row p
+        # once, so each updated entry is x + b * (w * y).
+        w = rg.neg(rg.normalizer(prow.pop(c)))
+        rows[p] = {}
+        for j in prow:
+            cols[j].discard(p)
+        piv = [(j, mul(w, y)) for j, y in prow.items()]
+        others, cols[c] = cols[c], set()
+        others.discard(p)
+        for i in others:
+            row = rows[i]
+            b = row.pop(c)
+            for j, y in piv:
+                x = row.get(j)
+                if x is None:
+                    row[j] = mul(b, y)
+                    cols[j].add(i)
+                else:
+                    x = add(x, mul(b, y))
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
+            if row:
+                heapq.heappush(heap, (len(row), i))
+        units += 1
+    zero = rg.zero()
+    live = [j for j in range(n) if cols[j]]
+    D = [[row.get(j, zero) for j in live] for row in rows if row]
+    rank = _eliminate(D, None, len(D), len(live), rg)
+    diag = [rg.one()] * units + [D[i][i] for i in range(rank)]
+    return diag + [zero] * (min(m, n) - len(diag)), units + rank
 
 
 def _eliminate(D, T, m, n, rg):

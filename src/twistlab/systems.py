@@ -37,10 +37,13 @@ class LocalSystem:
             if e not in full:
                 raise ValidationError(f"system {name!r}: unknown edge {e!r}")
         self.transports = full
-        self._inverses: dict[str, Matrix] = {}
+        # Both keyed on a transport's entries: a constant system shares one
+        # identity across every edge, so it is checked and inverted once.
+        self._inverses: dict[tuple, Matrix] = {}
         self._validate()
 
     def _validate(self):
+        invertible = set()
         for e, T in self.transports.items():
             if T.nrows != self.rank or T.ncols != self.rank:
                 raise ValidationError(
@@ -51,11 +54,15 @@ class LocalSystem:
                 raise RingMismatchError(
                     f"system {self.name!r}: transport on {e!r} is over {T.ring}"
                 )
+            key = tuple(map(tuple, T.rows))
+            if key in invertible:
+                continue
             if not is_invertible(T):
                 raise ValidationError(
                     f"system {self.name!r}: transport on edge {e!r} is not "
                     f"invertible over {self.ring}"
                 )
+            invertible.add(key)
         K = self.base
         for t in K.simplices(2):
             f = K.faces(t)
@@ -75,9 +82,11 @@ class LocalSystem:
             ) from None
 
     def transport_inverse(self, edge: str) -> Matrix:
-        if edge not in self._inverses:
-            self._inverses[edge] = inverse(self.transport(edge))
-        return self._inverses[edge]
+        T = self.transport(edge)
+        key = tuple(map(tuple, T.rows))
+        if key not in self._inverses:
+            self._inverses[key] = inverse(T)
+        return self._inverses[key]
 
     def __repr__(self):
         return f"LocalSystem({self.name!r}, rank {self.rank} over {self.ring})"

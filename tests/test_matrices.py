@@ -374,6 +374,110 @@ def test_snf_matches_the_dense_elimination(ring, density):
         assert repr(smith_diagonal(A)) == repr((snf.diagonal, snf.rank))
 
 
+# -- the sparse unit pass of smith_diagonal ----------------------------------
+#
+# `smith_diagonal` eliminates unit pivots on sparse rows and runs the dense
+# elimination only on what is left; `smith_normal_form` runs the dense
+# elimination alone, so its diagonal and rank are the reference, types included.
+
+
+def _assert_diagonal_matches(A, where):
+    snf = smith_normal_form(A)
+    assert repr(smith_diagonal(A)) == repr((snf.diagonal, snf.rank)), where
+
+
+def _shuffled(A, rng):
+    rows, cols = list(range(A.nrows)), list(range(A.ncols))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return A.submatrix(rows, cols)
+
+
+def _remainder_shapes(monkeypatch):
+    """The shapes of the dense remainders `smith_diagonal` hands on."""
+    shapes = []
+    real = tl.matrices._eliminate
+
+    def recording(D, T, m, n, rg):
+        shapes.append((m, n))
+        return real(D, T, m, n, rg)
+
+    monkeypatch.setattr("twistlab.matrices._eliminate", recording)
+    return shapes
+
+
+def test_smith_diagonal_matches_on_every_fixture_differential(rng):
+    for name in ALL_COMPLEXES:
+        K = load_complex(name)
+        for ring in CONTRACT_RINGS:
+            systems = [tl.constant_system(K, d, ring) for d in (1, 2)]
+            systems.append(random_flat_system(name, 2, ring, rng))
+            for G in systems:
+                for C in (tl.chain_complex(K, G), tl.cochain_complex(K, G)):
+                    for k in C.degrees():
+                        _assert_diagonal_matches(C.diff(k), (name, G.name, ring, k))
+
+
+def test_smith_diagonal_matches_on_shuffled_bench_families():
+    from inputs import klein_bottle, kuhn_torus, twisted_system
+
+    families = [kuhn_torus(n, 2) for n in range(1, 6)]
+    families += [klein_bottle(3, 3), klein_bottle(4, 4), kuhn_torus(1, 3), kuhn_torus(2, 3)]
+    for gen in families:
+        K = tl.parse_complex(gen.text())
+        systems = [tl.constant_system(K, 1, ring) for ring in CONTRACT_RINGS]
+        systems.append(tl.parse_system(
+            twisted_system(gen, 2, "Z", random.Random(gen.name), "g").text(), K))
+        for G in systems:
+            C = tl.chain_complex(K, G)
+            for k in C.degrees():
+                for seed in range(3):
+                    A = _shuffled(C.diff(k), random.Random(f"{gen.name}/{k}/{seed}"))
+                    _assert_diagonal_matches(A, (gen.name, G.name, G.ring, k, seed))
+
+
+def test_smith_diagonal_without_units_eliminates_nothing_sparsely(monkeypatch):
+    rng = random.Random(4242)
+    shapes = _remainder_shapes(monkeypatch)
+    for density in (0.2, 0.6, 1):
+        for _ in range(60):
+            m, n = rng.randint(1, 9), rng.randint(1, 9)
+            A = Matrix.zeros(Z, m, n)
+            for row in A.rows:
+                for j in range(n):
+                    if rng.random() < density:
+                        row[j] = rng.choice((-1, 1)) * rng.randint(2, 9)
+            shapes.clear()
+            smith_diagonal(A)
+            assert shapes == [(sum(map(any, A.rows)), sum(map(any, zip(*A.rows))))], A.rows
+            _assert_diagonal_matches(A, A.rows)
+
+
+@pytest.mark.parametrize("ring", CONTRACT_RINGS, ids=str)
+def test_smith_diagonal_of_unit_permutations_leaves_no_remainder(ring, monkeypatch):
+    rng = random.Random(1729)
+    units = [x for x in map(ring.from_int, range(-4, 5)) if ring.is_unit(x)]
+    shapes = _remainder_shapes(monkeypatch)
+    for _ in range(60):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        A = Matrix.zeros(ring, m, n)
+        for i, j in zip(rng.sample(range(m), min(m, n)), rng.sample(range(n), min(m, n))):
+            a = rng.choice(units)
+            A.rows[i][j] = a / rng.randint(1, 6) if ring == Q else a
+        shapes.clear()
+        assert smith_diagonal(A) == ([ring.one()] * min(m, n), min(m, n))
+        assert shapes == [(0, 0)], A.rows
+        _assert_diagonal_matches(A, A.rows)
+
+
+@pytest.mark.parametrize("ring", CONTRACT_RINGS, ids=str)
+def test_smith_diagonal_of_empty_shapes(ring):
+    for m, n in ((0, 0), (0, 5), (5, 0)):
+        A = Matrix.zeros(ring, m, n)
+        assert smith_diagonal(A) == ([], 0)
+        _assert_diagonal_matches(A, (m, n))
+
+
 # -- the ring contract behind the truthiness zero tests ----------------------
 
 

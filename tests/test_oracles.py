@@ -180,3 +180,31 @@ def test_group_path_matches_presented_homology_on_mapping_cones():
         maps.append(tl.cap_with_fundamental_class(K, tl.constant_system(K, 1, tl.Z), mu))
     for F in maps:
         _assert_group_path_matches(lambda: tl.mapping_cone(F))
+
+
+def test_group_path_matches_closed_forms_and_presentations_at_scale():
+    # T8 and KB8_8 (64 vertices, 192 edges, 128 triangles): the group path
+    # against the textbook groups in both directions over Z, Q and F_2, and
+    # against presented homology, which costs ten times more, in the chain
+    # direction.
+    from inputs import closed_form_groups, klein_bottle, kuhn_torus, twisted_system
+
+    for gen in (kuhn_torus(8, 2), klein_bottle(8, 8)):
+        K = tl.parse_complex(gen.text())
+        for ring in ("Z", "Q", "F2"):
+            G = tl.constant_system(K, 1, tl.ring_from_token(ring))
+            for cochain in (False, True):
+                build = tl.cochain_complex if cochain else tl.chain_complex
+                C = build(K, G)
+                got = [C.group(k).group_symbol() for k in range(3)]
+                assert got == closed_form_groups(gen.kind, 2, ring, cochain), (gen.name, ring)
+                if not cochain:
+                    _assert_group_path_matches(lambda: build(K, G))
+    # Holonomy a quarter turn R around x: H_0 = Z^2 / (R - I) = Z/2 as
+    # det(R - I) = 2, H_2 = ker(R - I) = 0, and H_1 = Z/2 by Kunneth.
+    gen = kuhn_torus(8, 2)
+    K = tl.parse_complex(gen.text())
+    G = tl.parse_system(twisted_system(gen, 2, "Z", random.Random(8), "rot").text(), K)
+    C = tl.chain_complex(K, G)
+    assert [C.group(k).group_symbol() for k in range(3)] == ["Z/2", "Z/2", "0"]
+    _assert_group_path_matches(lambda: tl.chain_complex(K, G))

@@ -63,6 +63,50 @@ def test_transport_inverse_of_an_unknown_edge_names_it():
         G.transport_inverse("nope")
 
 
+def test_transports_are_checked_and_inverted_once_per_distinct_value(rng, monkeypatch):
+    from twistlab import systems
+
+    checked, inverted = [], []
+    real_check, real_inverse = systems.is_invertible, systems.inverse
+
+    def counting_check(T):
+        checked.append(tuple(map(tuple, T.rows)))
+        return real_check(T)
+
+    def counting_inverse(T):
+        inverted.append(tuple(map(tuple, T.rows)))
+        return real_inverse(T)
+
+    cases = [load_system(f, load_complex(name)) for name, f in
+             (("circle1", "minus1.sys"), ("circle3", "circle3_signs.sys"), ("torus", "torus_ab.sys"))]
+    cases += [tl.constant_system(load_complex("torus"), 2, tl.Z)]
+    cases += [random_flat_system(name, 2, ring, rng) for name in ALL_COMPLEXES
+              for ring in (tl.Z, tl.Q, tl.prime_field(2), tl.prime_field(5))]
+    monkeypatch.setattr(systems, "is_invertible", counting_check)
+    monkeypatch.setattr(systems, "inverse", counting_inverse)
+    for G in cases:
+        edges = G.base.simplices(1)
+        distinct = {tuple(map(tuple, G.transport(e).rows)) for e in edges}
+        checked.clear()
+        H = tl.LocalSystem(G.name, G.base, G.ring, G.rank, G.transports)
+        assert sorted(checked) == sorted(distinct), G
+        assert not inverted, G
+        ident = tl.Matrix.identity(G.ring, G.rank)
+        for e in edges:
+            assert H.transport(e).mul(H.transport_inverse(e)) == ident, (G, e)
+            assert H.transport_inverse(e).mul(H.transport(e)) == ident, (G, e)
+        assert sorted(inverted) == sorted(distinct), G
+        inverted.clear()
+
+
+def test_a_repeated_singular_transport_names_its_first_edge():
+    K = load_complex("circle3")
+    first, second = K.simplices(1)[:2]
+    text = f"system bad over Z rank 1\nedge {second} [[2]]\nedge {first} [[2]]\n"
+    with pytest.raises(ValidationError, match=f"edge {first!r}"):
+        tl.parse_system(text, K)
+
+
 def test_rational_entries():
     K = load_complex("circle1")
     G = tl.parse_system("system q over Q rank 1\nedge a [[2/3]]\n", K)
