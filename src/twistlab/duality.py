@@ -32,7 +32,7 @@ from .systems import (
     orientation_system,
     tensor_systems,
 )
-from .twisted import _require_base, chain_complex, cochain_complex
+from .twisted import _diffs, _require_base, chain_complex
 
 # Calibrated Leibniz signs: s1 is degree-independent, s2 depends only on the
 # cochain degree k.  Asserted across random instances in the test suite.
@@ -165,12 +165,12 @@ def cap_with_fundamental_class(K: DeltaComplex, G: LocalSystem,
     w = cast_system(mu.system, ring)
     GH = tensor_systems(G, w)
     target = chain_complex(K, GH)
-    cochain = cochain_complex(K, G)
-    # Degree j holds C^{n-j}.
+    # Degree j holds C^{n-j}, with the cochain differentials of K, built once.
+    names = {k: K.simplices(k) for k in range(K.dimension + 1)}
     source = FreeComplex(
-        f"{cochain.label}[rev]", ring, "chain",
-        {n - k: cochain.rank(k) for k in cochain.degrees()},
-        {n - k: cochain.diff(k) for k in cochain.degrees()},
+        f"C^({K.name};{G.name})[rev]", ring, "chain",
+        {n - k: len(nms) * G.rank for k, nms in names.items()},
+        {n - k: d for k, d in _diffs(K, G, names, "cochain").items()},
     )
     zvec = mu.chain_vector(ring)
     mats = {j: _cap_matrix(K, G, w, n - j, n, zvec) for j in range(n + 1)}
@@ -223,7 +223,10 @@ def duality_report(K: DeltaComplex, G: LocalSystem) -> DualityReport:
         )
     report.cap_quasi_iso = is_quasi_iso(cap)
     if trivializable:
-        plain = chain_complex(K, G)
+        # When w is +1 on every edge, G (x) w has G's transports, and the cap
+        # target is already the chain complex of G.
+        same = cap.target.system.transports == G.transports
+        plain = cap.target if same else chain_complex(K, G)
         report.orientable_reading_agrees = all(
             plain.group(j).isomorphic_to(cap.target.group(j))
             for j in range(n + 1)

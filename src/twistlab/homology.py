@@ -31,7 +31,6 @@ from .matrices import (
     SNF,
     Matrix,
     block_matrix,
-    image_basis,
     kernel_basis,
     smith_diagonal,
     smith_normal_form,
@@ -470,18 +469,18 @@ def exactness_check(modules: list[ModulePresentation],
             )
 
         # ker(g_out) as a sublattice of the generator module: x with
-        # g_out(x) in the relation span of the next module.
+        # g_out(x) in the relation span of the next module.  L_gen is a basis
+        # of it: the kernel columns are independent, and a combination that
+        # vanishes on the first g_m rows is a kernel vector (0, y) with
+        # R_next y = 0, so y = 0, R_next being diagonal with entries >= 2.
         R_next = _relations_matrix(ring, nxt)
-        combined = g_out.hstack(R_next)
-        ker = kernel_basis(combined)
-        L_gen = ker.select_rows(range(g_m))
-        B_L = image_basis(L_gen)
+        L_gen = kernel_basis(g_out.hstack(R_next)).select_rows(range(g_m))
         W = f_in.hstack(_relations_matrix(ring, M))
-        Y = solve(B_L, W)
+        Y = solve(L_gen, W)
         if Y is None:
             hom_zero = False
         else:
             diag, rank = smith_diagonal(Y)
-            hom_zero = rank == B_L.ncols and all(d == 1 for d in diag[:rank])
+            hom_zero = rank == L_gen.ncols and all(d == 1 for d in diag[:rank])
         report.nodes.append(NodeCheck(label, comp_ok, hom_zero))
     return report

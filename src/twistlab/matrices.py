@@ -580,59 +580,29 @@ def inverse(A: Matrix) -> Matrix:
 
 
 def determinant(A: Matrix):
-    """Exact determinant (Bareiss over Z, Gaussian over fields)."""
+    """Exact determinant by Bareiss fraction-free elimination, in the ring's
+    operations: every division is exact, since the ring is an integral domain."""
     if A.nrows != A.ncols:
         raise TwistlabError("determinant of a non-square matrix")
     n = A.nrows
     rg = A.ring
-    if n == 0:
-        return rg.one()
     M = [row[:] for row in A.rows]
-    if rg.is_field:
-        det = rg.one()
-        for t in range(n):
-            piv = None
-            for i in range(t, n):
-                if M[i][t]:
-                    piv = i
-                    break
+    det = prev = rg.one()
+    for t in range(n):
+        if not M[t][t]:
+            piv = next((i for i in range(t + 1, n) if M[i][t]), None)
             if piv is None:
                 return rg.zero()
-            if piv != t:
-                M[t], M[piv] = M[piv], M[t]
-                det = rg.neg(det)
-            det = rg.mul(det, M[t][t])
-            inv = rg.inv(M[t][t])
-            for i in range(t + 1, n):
-                c = rg.mul(M[i][t], inv)
-                if c:
-                    M[i] = [rg.sub(x, rg.mul(c, y)) for x, y in zip(M[i], M[t])]
-        return det
-    # Bareiss fraction-free elimination.
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if M[t][t] == 0:
-            piv = None
-            for i in range(t + 1, n):
-                if M[i][t] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                return 0
             M[t], M[piv] = M[piv], M[t]
-            sign = -sign
+            det = rg.neg(det)
+        p = M[t][t]
         for i in range(t + 1, n):
+            a, row = M[i][t], M[i]
             for j in range(t + 1, n):
-                M[i][j] = (M[i][j] * M[t][t] - M[i][t] * M[t][j]) // prev
-            M[i][t] = 0
-        prev = M[t][t]
-    return sign * M[n - 1][n - 1]
+                row[j] = rg.exact_div(rg.sub(rg.mul(row[j], p), rg.mul(a, M[t][j])), prev)
+        prev = p
+    return rg.mul(det, prev)
 
 
 def is_invertible(A: Matrix) -> bool:
-    if A.nrows != A.ncols:
-        return False
-    rg = A.ring
-    det = determinant(A)
-    return rg.is_unit(det)
+    return A.nrows == A.ncols and A.ring.is_unit(determinant(A))

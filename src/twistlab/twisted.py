@@ -205,16 +205,6 @@ class LesFragment:
         )
 
 
-def _les_parts(P: SubcomplexPair, G: LocalSystem, variant: str):
-    direction = "chain" if variant == "homology" else "cochain"
-    K = P.complex
-    subC = _sub_complex(P, G, direction)
-    fullC = TwistedComplex(f"C({K.name})", K, G, direction, None)
-    relC = relative_complex(P, G, direction)
-    sub_pos, rel_pos = _split_positions(fullC, subC, relC, range(K.dimension + 1))
-    return subC, fullC, relC, sub_pos, rel_pos
-
-
 def _split_positions(fullC, subC, relC, degrees):
     """The positions in fullC of the bases of subC and relC, checked in each
     degree to split fullC's basis."""
@@ -228,26 +218,19 @@ def _split_positions(fullC, subC, relC, degrees):
     return sub_pos, rel_pos
 
 
-def _inclusion_map(subC, fullC, sub_pos, label) -> ChainMapData:
-    ring = fullC.ring
+def _coordinate_map(part, whole, pos, label, onto=False) -> ChainMapData:
+    """The inclusion of part in whole, whose basis holds part's at the
+    positions pos[k]; with onto, the projection of whole onto part, whose
+    matrix in each degree is the transpose of the inclusion's."""
+    ring = whole.ring
     mats = {}
-    for k in fullC.degree_span():
-        m = Matrix.zeros(ring, fullC.rank(k), subC.rank(k))
-        for j, p in enumerate(sub_pos[k]):
+    for k in whole.degree_span():
+        m = Matrix.zeros(ring, whole.rank(k), part.rank(k))
+        for j, p in enumerate(pos[k]):
             m.rows[p][j] = ring.one()
-        mats[k] = m
-    return ChainMapData(label, subC, fullC, mats, 1)
-
-
-def _projection_map(fullC, relC, rel_pos, label) -> ChainMapData:
-    ring = fullC.ring
-    mats = {}
-    for k in fullC.degree_span():
-        m = Matrix.zeros(ring, relC.rank(k), fullC.rank(k))
-        for i, p in enumerate(rel_pos[k]):
-            m.rows[i][p] = ring.one()
-        mats[k] = m
-    return ChainMapData(label, fullC, relC, mats, 1)
+        mats[k] = m.transpose() if onto else m
+    source, target = (whole, part) if onto else (part, whole)
+    return ChainMapData(label, source, target, mats, 1)
 
 
 def _connecting_map(fullC, source, target, src_pos, tgt_pos, k) -> Matrix:
@@ -264,43 +247,44 @@ def _connecting_map(fullC, source, target, src_pos, tgt_pos, k) -> Matrix:
 
 
 def assemble_les(P: SubcomplexPair, G: LocalSystem, variant: str = "homology") -> LesFragment:
-    """The long exact sequence of the pair, with all maps as presentation matrices."""
+    """The long exact sequence of the pair, with all maps as presentation matrices.
+
+    Both variants come from the short exact sequence 0 -> A -> C(K) -> B -> 0
+    that splits C(K) along the simplices of L: A = C(L) and B = C(K,L) for
+    homology, degrees running down; A = C^(K,L) and B = C^(L) for cohomology,
+    degrees running up.  Each degree gives the nodes H(A), H(K) and H(B), the
+    maps that the inclusion of A and the projection onto B induce, and, in
+    every degree but the last, the connecting map H(B) -> H(A) one step along
+    the differential.
+    """
     if variant not in ("homology", "cohomology"):
         raise TwistlabError(f"unknown variant {variant!r}")
-    subC, fullC, relC, sub_pos, rel_pos = _les_parts(P, G, variant)
-    top = P.complex.dimension
+    K = P.complex
+    direction = "chain" if variant == "homology" else "cochain"
+    subC = _sub_complex(P, G, direction)
+    fullC = TwistedComplex(f"C({K.name})", K, G, direction, None)
+    relC = relative_complex(P, G, direction)
+    sub_pos, rel_pos = _split_positions(fullC, subC, relC, range(K.dimension + 1))
+    if direction == "chain":
+        A, B, a_pos, b_pos, onto_label = subC, relC, sub_pos, rel_pos, "proj"
+        mark, names, letter, degrees = "_", ("L", "K", "K,L"), "j", range(K.dimension, -1, -1)
+    else:
+        A, B, a_pos, b_pos, onto_label = relC, subC, rel_pos, sub_pos, "restr"
+        mark, names, letter, degrees = "^", ("K,L", "K", "L"), "r", range(K.dimension + 1)
+    into = _coordinate_map(A, fullC, a_pos, "incl")
+    onto = _coordinate_map(B, fullC, b_pos, onto_label, onto=True)
     nodes: list[LesNode] = []
     maps: list[Matrix] = []
     labels: list[str] = []
-    if variant == "homology":
-        incl = _inclusion_map(subC, fullC, sub_pos, "incl")
-        proj = _projection_map(fullC, relC, rel_pos, "proj")
-        for k in range(top, -1, -1):
-            nodes.append(LesNode(f"H_{k}(L)", k, subC.homology(k)))
-            nodes.append(LesNode(f"H_{k}(K)", k, fullC.homology(k)))
-            nodes.append(LesNode(f"H_{k}(K,L)", k, relC.homology(k)))
-            maps.append(induced_map_on_homology(incl, k))
-            labels.append(f"i_{k}")
-            maps.append(induced_map_on_homology(proj, k))
-            labels.append(f"j_{k}")
-            if k > 0:
-                maps.append(_connecting_map(fullC, relC, subC, rel_pos, sub_pos, k))
-                labels.append(f"d_{k}")
-    else:
-        # cochain SES: 0 -> C^*(K,L) -> C^*(K) -> C^*(L) -> 0
-        incl_rel = _inclusion_map(relC, fullC, rel_pos, "incl")
-        restr = _projection_map(fullC, subC, sub_pos, "restr")
-        for k in range(0, top + 1):
-            nodes.append(LesNode(f"H^{k}(K,L)", k, relC.homology(k)))
-            nodes.append(LesNode(f"H^{k}(K)", k, fullC.homology(k)))
-            nodes.append(LesNode(f"H^{k}(L)", k, subC.homology(k)))
-            maps.append(induced_map_on_homology(incl_rel, k))
-            labels.append(f"i^{k}")
-            maps.append(induced_map_on_homology(restr, k))
-            labels.append(f"r^{k}")
-            if k < top:
-                maps.append(_connecting_map(fullC, subC, relC, sub_pos, rel_pos, k))
-                labels.append(f"d^{k}")
+    for k in degrees:
+        for C, name in zip((A, fullC, B), names):
+            nodes.append(LesNode(f"H{mark}{k}({name})", k, C.homology(k)))
+        maps.append(induced_map_on_homology(into, k))
+        maps.append(induced_map_on_homology(onto, k))
+        labels += [f"i{mark}{k}", f"{letter}{mark}{k}"]
+        if k != degrees[-1]:
+            maps.append(_connecting_map(fullC, B, A, b_pos, a_pos, k))
+            labels.append(f"d{mark}{k}")
     return LesFragment(
         variant, nodes, maps, labels, {"sub": subC, "full": fullC, "rel": relC}
     )
@@ -374,7 +358,8 @@ def cellular_boundary_via_triple(K: DeltaComplex, G: LocalSystem, n: int, *,
     # The quotient map C(K^{n-1}) -> C(K^{n-1}, K^{n-2}); the latter is free
     # on the (n-1)-cells with zero differential.
     pos = {k: lower.positions_of(k, lower_layer.basis_names(k)) for k in lower.degree_span()}
-    q_ind = induced_map_on_homology(_projection_map(lower, lower_layer, pos, "quot"), n - 1)
+    quot = _coordinate_map(lower_layer, lower, pos, "quot", onto=True)
+    q_ind = induced_map_on_homology(quot, n - 1)
 
     phi = lower_layer.homology(n - 1).representatives  # ambient == canonical basis
     composite = phi.mul(q_ind).mul(conn).mul(psi)

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -312,6 +313,47 @@ def test_duality_orientable_reading():
                             tl.constant_system(load_complex("klein"), 1, tl.Z))
     assert not rep.orientation_trivializable
     assert rep.orientable_reading_agrees is None
+
+
+def test_duality_checks_each_differential_once(monkeypatch):
+    checked = []
+    real = tl.FreeComplex.assert_squares_zero
+
+    def recording(C):
+        checked.append(C)  # holding C keeps the ids of its matrices unique
+        return real(C)
+
+    monkeypatch.setattr(tl.FreeComplex, "assert_squares_zero", recording)
+    for name in MANIFOLDS:
+        K = load_complex(name)
+        for ring in (tl.Z, tl.prime_field(2)):
+            checked.clear()
+            assert tl.duality_report(K, tl.constant_system(K, 2, ring)).ok
+            checks = Counter(id(d) for C in checked for d in C._diffs.values())
+            assert max(checks.values()) == 1, (name, ring)
+
+
+def test_duality_builds_each_twisted_complex_once(monkeypatch):
+    # Keyed on content, as the benchmark counts duplicate builds: when w is +1
+    # on every edge (the circles, torus, rp3) the cap target is the chain
+    # complex of G.
+    built = []
+    real = tl.TwistedComplex.__init__
+
+    def recording(self, label, base, system, direction, keep):
+        transports = tuple((e, tuple(map(tuple, T.rows)))
+                           for e, T in sorted(system.transports.items()))
+        built.append((transports, direction, keep))
+        real(self, label, base, system, direction, keep)
+
+    monkeypatch.setattr(tl.TwistedComplex, "__init__", recording)
+    for name in MANIFOLDS:
+        K = load_complex(name)
+        for G in (tl.constant_system(K, 1, tl.Z), tl.constant_system(K, 2, tl.Q)):
+            built.clear()
+            rep = tl.duality_report(K, G)
+            assert rep.ok and rep.orientable_reading_agrees is not False
+            assert len(built) == len(set(built)), (name, G.name)
 
 
 def test_duality_sign_system_grid():

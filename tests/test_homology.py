@@ -14,7 +14,13 @@ from twistlab.homology import (
 )
 from twistlab.matrices import Matrix
 
-from conftest import ALL_COMPLEXES, load_complex, load_system, random_flat_system
+from conftest import (
+    ALL_COMPLEXES,
+    load_complex,
+    load_subcomplex,
+    load_system,
+    random_flat_system,
+)
 
 
 def M(rows, ring=tl.Z):
@@ -270,6 +276,44 @@ def test_exactness_over_field():
     rep = tl.exactness_check([zero, Q1, Qv, Q1, zero],
                              [Matrix.zeros(tl.Q, 1, 0), inc, proj, Matrix.zeros(tl.Q, 0, 1)])
     assert rep.all_exact
+
+
+@pytest.mark.parametrize("name", ALL_COMPLEXES)
+def test_exactness_of_free_differentials_is_vanishing_homology(name, rng):
+    # Read as a sequence of free modules, a complex is exact at a node exactly
+    # when its homology there vanishes.
+    K = load_complex(name)
+    for ring in (tl.Z, tl.Q, tl.prime_field(2)):
+        for G in (tl.constant_system(K, 1, ring), random_flat_system(name, 1, ring, rng)):
+            for C in (tl.chain_complex(K, G), tl.cochain_complex(K, G)):
+                degrees = range(K.dimension + 1)
+                if C.direction == "chain":
+                    degrees = degrees[::-1]
+                modules = [free_presentation(ring, C.rank(k)) for k in degrees]
+                report = tl.exactness_check(modules, [C.diff(k) for k in degrees[:-1]])
+                verdicts = [node.exact for node in report.nodes]
+                assert verdicts == [C.group(k).is_zero for k in degrees], (name, G.name, C.label)
+
+
+@pytest.mark.parametrize("variant", ["homology", "cohomology"])
+def test_exactness_runs_at_most_two_snfs_per_node(variant, monkeypatch):
+    K = load_complex("klein")
+    P = load_subcomplex("klein_circle.sub", K)
+    sequences = [tl.assemble_les(P, tl.constant_system(K, 1, ring), variant)
+                 for ring in (tl.Z, tl.prime_field(2))]
+    calls = []
+    real = tl.matrices.smith_normal_form
+
+    def counting(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(tl.matrices, "smith_normal_form", counting)
+    monkeypatch.setattr(tl.homology, "smith_normal_form", counting)
+    for les in sequences:
+        calls.clear()
+        assert les.exactness().all_exact
+        assert 0 < len(calls) <= 2 * len(les.nodes), (variant, les.nodes[0].presentation.ring)
 
 
 def test_exactness_check_refuses_misuse():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -142,6 +143,39 @@ def test_inverse_and_invertibility():
     B = Matrix.from_int_rows(F7, [[2, 0], [0, 1]])
     assert is_invertible(B)
     assert B.mul(inverse(B)) == Matrix.identity(F7, 2)
+
+
+def leibniz_determinant(A):
+    """The determinant as the signed sum over all permutations, in A's ring."""
+    rg, n = A.ring, A.nrows
+    total = rg.zero()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = rg.neg(rg.one()) if inversions % 2 else rg.one()
+        for i, j in enumerate(perm):
+            term = rg.mul(term, A.rows[i][j])
+        total = rg.add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("ring", CONTRACT_RINGS, ids=repr)
+def test_determinant_matches_the_leibniz_expansion(ring):
+    rng = random.Random(11)
+    for n in range(5):
+        for _ in range(60):
+            # Mostly zeros, so that pivots vanish and rows swap, and many
+            # matrices are singular; over Q some entries are not integers.
+            rows = [[ring.from_int(rng.choice((0, 0, 0, 1, -1, 2, -3))) for _ in range(n)]
+                    for _ in range(n)]
+            if ring == Q:
+                rows = [[x / rng.randint(1, 3) for x in row] for row in rows]
+            A = Matrix(ring, rows)
+            A.ncols = n
+            det = leibniz_determinant(A)
+            assert determinant(A) == det, (ring, rows)
+            # is_invertible agrees with whether A X = I has a solution.
+            assert is_invertible(A) == (solve(A, Matrix.identity(ring, n)) is not None)
+            assert is_invertible(A) == ring.is_unit(det)
 
 
 def test_empty_shapes():
