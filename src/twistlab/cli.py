@@ -211,11 +211,11 @@ def _cmd_orientation(args, out):
     flag, gauge = is_trivializable(w)
     out.append(f"orientation character of {K.name} (dimension {K.dimension})")
     for e in K.simplices(1):
-        out.append(f"edge {e}: {w.transport(e).rows[0][0]:+d}")
+        out.append(f"edge {e}: {w.transport(e).entry(0, 0):+d}")
     out.append("trivializable: " + _yn(flag))
     if flag:
         for v in K.simplices(0):
-            out.append(f"gauge {v}: {gauge.at(v).rows[0][0]:+d}")
+            out.append(f"gauge {v}: {gauge.at(v).entry(0, 0):+d}")
     out.append("ORIENTATION OK")
     return 0
 

@@ -80,7 +80,7 @@ def fundamental_class(K: DeltaComplex, w: LocalSystem) -> FundamentalClass:
 
     def coef(simplex, face_index):
         if face_index == 0:
-            return w.transport(K.front_edge(simplex)).rows[0][0]
+            return w.transport(K.front_edge(simplex)).entry(0, 0)
         return -1 if face_index % 2 else 1
 
     ties: dict[str, list[tuple[str, int]]] = {s: [] for s in top}
@@ -120,7 +120,8 @@ def _cap_matrix(K: DeltaComplex, G: LocalSystem, H: LocalSystem, k: int, m: int,
         )
     out_idx = {nm: i for i, nm in enumerate(K.simplices(m - k))}
     k_idx = {nm: i for i, nm in enumerate(K.simplices(k))}
-    mat = Matrix.zeros(ring, len(out_idx) * dG * dH, len(k_idx) * dG)
+    add, mul, zero = ring.add, ring.mul, ring.zero()
+    rows = [{} for _ in range(len(out_idx) * dG * dH)]
     sign = -1 if (k * (m - k)) % 2 else 1
     ident = Matrix.identity(ring, dG)
     for si, nm in enumerate(m_simplices):
@@ -133,12 +134,14 @@ def _cap_matrix(K: DeltaComplex, G: LocalSystem, H: LocalSystem, k: int, m: int,
         back = k_idx[K.range_face(nm, m - k, m)] * dG
         front = out_idx[K.range_face(nm, 0, m - k)] * dG * dH
         carry = G.transport_inverse(K.subset_face(nm, (0, m - k))) if m > k else ident
-        for i, trow in enumerate(carry.rows):
+        for i, trow in enumerate(carry.entries):
             for j, uj in enumerate(u):
-                row = mat.rows[front + i * dH + j]
-                for col, t in enumerate(trow):
-                    row[back + col] = ring.add(row[back + col], ring.mul(t, uj))
-    return mat
+                if uj:
+                    row = rows[front + i * dH + j]
+                    for col, t in trow.items():
+                        row[back + col] = add(row.get(back + col, zero), mul(t, uj))
+    rows = [row if all(row.values()) else {j: x for j, x in row.items() if x} for row in rows]
+    return Matrix.sparse(ring, rows, len(k_idx) * dG)
 
 
 def cap_product(K: DeltaComplex, G: LocalSystem, H: LocalSystem, k: int,

@@ -11,9 +11,9 @@ these presentations.
 
 A group alone (`FreeComplex.group`, and `is_acyclic` through it) needs only
 ranks and invariant factors, so it reads one `smith_diagonal` per
-differential, kept for every degree that differential touches: a sparse
-elimination of unit pivots, then a dense transform-free elimination of what
-is left.
+differential, kept for every degree that differential touches: an
+elimination of unit pivots, then a transform-free elimination of what is
+left.
 Representatives (`FreeComplex.homology`) take two SNFs per degree: one of its
 differential, whose V holds the cycle basis and whose V^-1 gives cycle
 coordinates, and one of the boundaries' cycle coordinates, whose U^-1 gives
@@ -134,11 +134,11 @@ class FreeComplex:
             raise TwistlabError(f"{self.label}: a column at degree {k} is not in the cycle module")
         zeta = coords.select_rows(range(ctx.r, coords.nrows))
         gamma = ctx.uprime.select_rows(ctx.kept).mul(zeta)
-        for row, i in zip(gamma.rows, ctx.kept):
-            d = ctx.orders[i]
-            if d:
-                row[:] = [c % d for c in row]
-        return gamma
+        rows = [
+            {j: x for j, c in row.items() if (x := c % d)} if (d := ctx.orders[i]) else row
+            for row, i in zip(gamma.entries, ctx.kept)
+        ]
+        return Matrix.sparse(self.ring, rows, gamma.ncols)
 
     def is_acyclic(self) -> bool:
         return all(self.group(k).is_zero for k in self.degree_span())
@@ -315,13 +315,10 @@ def induced_map_on_homology(F: ChainMapData, k: int) -> Matrix:
     tgt = F.target.homology(k)
     out = F.target.class_coordinates(k, F.matrix(k).mul(src.representatives))
     # Torsion-order compatibility: order(source gen) must kill the image.
-    tgt_orders = tgt.relation_orders()
-    for j, d in enumerate(src.relation_orders()):
-        if d == 0:
-            continue
-        for i in range(tgt.generators):
-            v = d * out.rows[i][j]
-            di = tgt_orders[i]
+    src_orders = src.relation_orders()
+    for di, row in zip(tgt.relation_orders(), out.entries):
+        for j, x in row.items():
+            v = src_orders[j] * x
             if (di == 0 and v != 0) or (di != 0 and v % di != 0):
                 raise TwistlabError(
                     f"{F.label}: induced map ill-defined at degree {k}"
@@ -334,11 +331,10 @@ def maps_equal_mod(target: ModulePresentation, A: Matrix, B: Matrix) -> bool:
     if A.nrows != B.nrows or A.ncols != B.ncols:
         return False
     ring = target.ring
-    orders = target.relation_orders()
-    for i in range(A.nrows):
-        d = orders[i]
-        for a, b in zip(A.rows[i], B.rows[i]):
-            r = ring.sub(a, b)
+    zero = ring.zero()
+    for d, arow, brow in zip(target.relation_orders(), A.entries, B.entries):
+        for j in arow.keys() | brow.keys():
+            r = ring.sub(arow.get(j, zero), brow.get(j, zero))
             if d:
                 r = ring.divmod(r, d)[1]
             if r:
@@ -422,12 +418,9 @@ class ExactnessReport:
 
 
 def _relations_matrix(ring: Ring, pres: ModulePresentation) -> Matrix:
-    g = pres.generators
-    t = pres.torsion_count
-    R = Matrix.zeros(ring, g, t)
-    for i, d in enumerate(pres.invariants):
-        R.rows[i][i] = ring.from_int(d)
-    return R
+    rows = [{i: ring.from_int(d)} for i, d in enumerate(pres.invariants)]
+    rows += [{} for _ in range(pres.rank)]
+    return Matrix.sparse(ring, rows, pres.torsion_count)
 
 
 def exactness_check(modules: list[ModulePresentation],

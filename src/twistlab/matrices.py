@@ -1,4 +1,4 @@
-"""Dense exact matrices over Z, Q, or a prime field, and Smith normal form.
+"""Sparse exact matrices over Z, Q, or a prime field, and Smith normal form.
 
 All homology computations reduce to the routines here.  One Euclidean
 elimination serves every ring: the ring says how big an element is, how to
@@ -8,69 +8,81 @@ of linear systems, and quotient presentations are exact; over a field every
 nonzero entry is a unit, every remainder is zero, and the same code is
 Gaussian elimination.  `smith_normal_form` returns the diagonal with both
 transforms and their inverses.  `smith_diagonal` returns only the diagonal
-and the rank, which is all that ranks and invariant factors need: it first
-eliminates unit pivots on sparse rows, picked by a Markowitz-style rule
-(Dumas, Saunders and Villard, JSC 2001), and runs the same elimination,
-without transforms, on the dense remainder.  A unit pivot splits off a 1 by
-invertible row and column operations, so the Smith form, which is unique,
-and with it the diagonal, is the one the dense elimination alone gives.
+and the rank: it first eliminates unit pivots, picked by a Markowitz-style
+rule (Dumas, Saunders and Villard, JSC 2001), then runs the same elimination,
+without transforms, on the remainder.  The Smith form is unique, so both
+give the same diagonal.
 
-Storage is dense (a list of row lists), but the matrices that arise are
-sparse: a boundary matrix of a rank-d local system has at most (k+1)*d^2
-nonzeros per column.  So products visit only nonzero entries, and every row
-and column operation of SNF updates, in place, only the positions where the
-row or column being added is nonzero; adding zero would leave the entry as
-it is.  Each product entry is still summed over the inner index in
-increasing order, and the pivots and operations of `smith_normal_form` are
-those of a dense sweep.
+Storage is sparse, as the matrices that arise are: a boundary matrix of a
+rank-d local system has at most (k+1)*d^2 nonzeros per column.  Row i is the
+dict `entries[i]` from column to nonzero entry, and no dict holds a zero, so
+products, sums, transposes and blocks cost time in the nonzeros.  The
+elimination changes only the entries an operation reaches, deleting those
+that cancel, and keeps V transposed, so that every operation on a transform
+is a row operation.  Its pivots and operations are those of a dense sweep.
 
 Entries are canonical ring elements (see `Ring`), so an entry is zero
 exactly when it is falsy, and zero tests here read `not a` instead of
-calling the ring.
+calling the ring.  The public constructor checks that contract on dense
+rows; the engine builds from row dicts with `Matrix.sparse`, unchecked.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import compress
 
 from .errors import CapacityError, RingMismatchError, TwistlabError
 from .rings import Ring, Z
 
-# Bound on the entries an m x n SNF holds: D plus U, U^-1, V and V^-1 (D alone
-# without transforms).  5e7 list slots are about 400 MB of pointers; desk-scale
-# inputs stay far below it.
+# Bound on the entries an m x n SNF may come to hold, if its fill is dense: D
+# plus U, U^-1, V and V^-1 (D alone without transforms).  Desk-scale inputs
+# stay far below it.
 MAX_SNF_ENTRIES = 5 * 10**7
 
 
 class Matrix:
-    """Immutable-by-convention dense matrix with ring-tagged entries."""
+    """Immutable-by-convention sparse matrix with ring-tagged entries: row i
+    is `entries[i]`, a dict from column to nonzero entry."""
 
-    __slots__ = ("ring", "rows", "nrows", "ncols")
+    __slots__ = ("ring", "entries", "nrows", "ncols")
 
     def __init__(self, ring: Ring, rows: list[list]):
-        self.ring = ring
-        self.rows = rows
-        self.nrows = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        for r in rows:
-            if len(r) != self.ncols:
+        """The matrix of the dense row lists `rows`, each entry checked to be
+        a canonical element of `ring`."""
+        ncols = len(rows[0]) if rows else 0
+        entries = []
+        for row in rows:
+            if len(row) != ncols:
                 raise TwistlabError("ragged matrix rows")
+            if not all(map(ring.is_element, row)):
+                raise RingMismatchError(f"matrix row {row!r} holds an entry outside {ring}")
+            entries.append({j: a for j, a in enumerate(row) if a})
+        self.ring, self.entries, self.nrows, self.ncols = ring, entries, len(rows), ncols
+
+    @property
+    def rows(self) -> list[list]:
+        """A dense copy: one list per row, zeros filled in."""
+        z, n = self.ring.zero(), range(self.ncols)
+        return [[row.get(j, z) for j in n] for row in self.entries]
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zeros(cls, ring, nrows, ncols):
-        z = ring.zero()
-        m = cls(ring, [[z] * ncols for _ in range(nrows)])
-        if nrows == 0:
-            m.ncols = ncols
+    def sparse(cls, ring, entries, ncols):
+        """The matrix whose rows are the dicts `entries`, taken as they are:
+        they must hold only nonzero canonical entries in columns below ncols."""
+        m = cls.__new__(cls)
+        m.ring, m.entries, m.nrows, m.ncols = ring, entries, len(entries), ncols
         return m
 
     @classmethod
+    def zeros(cls, ring, nrows, ncols):
+        return cls.sparse(ring, [{} for _ in range(nrows)], ncols)
+
+    @classmethod
     def identity(cls, ring, n):
-        return cls(ring, _identity_rows(ring, n))
+        return cls.sparse(ring, _identity_rows(ring, n), n)
 
     @classmethod
     def from_int_rows(cls, ring, int_rows):
@@ -85,9 +97,7 @@ class Matrix:
     # -- basic ops ----------------------------------------------------
 
     def copy(self):
-        m = Matrix(self.ring, [row[:] for row in self.rows])
-        m.ncols = self.ncols
-        return m
+        return Matrix.sparse(self.ring, [dict(row) for row in self.entries], self.ncols)
 
     def __eq__(self, other):
         return (
@@ -95,7 +105,7 @@ class Matrix:
             and self.ring == other.ring
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.entries == other.entries
         )
 
     def __hash__(self):
@@ -105,10 +115,14 @@ class Matrix:
         return f"Matrix({self.ring}, {self.nrows}x{self.ncols})"
 
     def is_zero(self):
-        return not any(map(any, self.rows))
+        return not any(self.entries)
+
+    def entry(self, i, j):
+        return self.entries[i].get(j) or self.ring.zero()
 
     def col(self, j):
-        return [row[j] for row in self.rows]
+        z = self.ring.zero()
+        return [row.get(j, z) for row in self.entries]
 
     def _require_ring(self, other, op):
         if self.ring != other.ring:
@@ -122,21 +136,19 @@ class Matrix:
             )
         rg = self.ring
         zero, add, mul = rg.zero(), rg.add, rg.mul
-        n = other.ncols
-        # Row k of `other` as its nonzero (j, b) pairs; each nonzero a = A[i][k]
-        # adds a*b into out[i][j], in the same order over k as a dot product.
-        bnz = [[(j, b) for j, b in enumerate(brow) if b] for brow in other.rows]
+        brows = other.entries
         out = []
-        for arow in self.rows:
-            row = [zero] * n
-            for k, a in enumerate(arow):
-                if a:
-                    for j, b in bnz[k]:
-                        row[j] = add(row[j], mul(a, b))
+        # Each nonzero a = A[i][k] adds a * B[k][j] into out[i][j] for the
+        # nonzeros of row k of B; the sums that cancel are dropped at the end.
+        for arow in self.entries:
+            row = {}
+            for k, a in arow.items():
+                for j, b in brows[k].items():
+                    row[j] = add(row.get(j, zero), mul(a, b))
+            if not all(row.values()):
+                row = {j: x for j, x in row.items() if x}
             out.append(row)
-        m = Matrix(rg, out)
-        m.ncols = n
-        return m
+        return Matrix.sparse(rg, out, other.ncols)
 
     def mul_vec(self, vec: list) -> list:
         if len(vec) != self.ncols:
@@ -145,13 +157,12 @@ class Matrix:
             )
         rg = self.ring
         zero, add, mul = rg.zero(), rg.add, rg.mul
-        nz = [(k, x) for k, x in enumerate(vec) if x]
         out = []
-        for row in self.rows:
+        for row in self.entries:
             acc = zero
-            for k, x in nz:
-                a = row[k]
-                if a:
+            for k, a in row.items():
+                x = vec[k]
+                if x:
                     acc = add(acc, mul(a, x))
             out.append(acc)
         return out
@@ -163,55 +174,48 @@ class Matrix:
                 f"shape mismatch {self.nrows}x{self.ncols} + {other.nrows}x{other.ncols}"
             )
         rg = self.ring
-        m = Matrix(
-            rg,
-            [
-                [rg.add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
-        m.ncols = self.ncols
-        return m
+        out = [dict(row) for row in self.entries]
+        for row, r2 in zip(out, other.entries):
+            _add_multiple(row, r2, rg.one(), rg.add, rg.mul, rg.zero())
+        return Matrix.sparse(rg, out, self.ncols)
+
+    def _map(self, f, ring):
+        """The matrix over ring of f(a) for each nonzero entry a, zeros dropped."""
+        rows = [{j: x for j, a in row.items() if (x := f(a))} for row in self.entries]
+        return Matrix.sparse(ring, rows, self.ncols)
 
     def neg(self):
-        rg = self.ring
-        m = Matrix(rg, [[rg.neg(a) for a in row] for row in self.rows])
-        m.ncols = self.ncols
-        return m
+        return self._map(self.ring.neg, self.ring)
 
     def sub(self, other):
         return self.add(other.neg())
 
     def scale(self, c):
-        rg = self.ring
-        m = Matrix(rg, [[rg.mul(c, a) for a in row] for row in self.rows])
-        m.ncols = self.ncols
-        return m
+        return self._map(lambda a: self.ring.mul(c, a), self.ring)
 
     def transpose(self):
-        if self.nrows == 0 or self.ncols == 0:
-            return Matrix.zeros(self.ring, self.ncols, self.nrows)
-        return Matrix(self.ring, [list(c) for c in zip(*self.rows)])
+        return Matrix.sparse(self.ring, _transpose(self.entries, self.ncols), self.nrows)
 
     def hstack(self, other):
         self._require_ring(other, "hstack")
         if self.nrows != other.nrows:
             raise TwistlabError("hstack row mismatch")
-        m = Matrix(self.ring, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)])
-        m.ncols = self.ncols + other.ncols
-        return m
+        n = self.ncols
+        out = [r1 | {j + n: b for j, b in r2.items()} for r1, r2 in zip(self.entries, other.entries)]
+        return Matrix.sparse(self.ring, out, n + other.ncols)
 
     def submatrix(self, row_idx, col_idx):
-        rows = [[self.rows[i][j] for j in col_idx] for i in row_idx]
-        m = Matrix(self.ring, rows)
-        m.ncols = len(col_idx)
-        return m
+        where = {j: c for c, j in enumerate(col_idx)}
+        if len(where) < len(col_idx):  # a repeated column: pick columns as rows
+            return self.transpose().select_rows(col_idx).transpose().select_rows(row_idx)
+        rows = [{where[j]: a for j, a in self.entries[i].items() if j in where} for i in row_idx]
+        return Matrix.sparse(self.ring, rows, len(col_idx))
 
     def select_cols(self, col_idx):
         return self.submatrix(range(self.nrows), col_idx)
 
     def select_rows(self, row_idx):
-        return self.submatrix(row_idx, range(self.ncols))
+        return Matrix.sparse(self.ring, [dict(self.entries[i]) for i in row_idx], self.ncols)
 
     def cast(self, ring: Ring) -> "Matrix":
         """Re-read integer entries in another ring (Z -> Q or Z -> F_p)."""
@@ -219,29 +223,34 @@ class Matrix:
             return self
         if self.ring != Z:
             raise TwistlabError(f"can only cast integer matrices, not {self.ring}")
-        m = Matrix(ring, [[ring.from_int(x) for x in row] for row in self.rows])
-        m.ncols = self.ncols
-        return m
+        return self._map(ring.from_int, ring)
 
 
 def block_matrix(ring, blocks, row_dims, col_dims):
     """Assemble a matrix from a grid of optional blocks (None = zero block)."""
-    total_r = sum(row_dims)
-    total_c = sum(col_dims)
-    out = Matrix.zeros(ring, total_r, total_c)
-    r0 = 0
+    out = []
     for bi, rdim in enumerate(row_dims):
+        band = [{} for _ in range(rdim)]
         c0 = 0
         for bj, cdim in enumerate(col_dims):
             blk = blocks[bi][bj]
             if blk is not None:
                 if blk.nrows != rdim or blk.ncols != cdim:
                     raise TwistlabError("block shape mismatch")
-                for i in range(rdim):
-                    out.rows[r0 + i][c0 : c0 + cdim] = blk.rows[i][:]
+                for row, brow in zip(band, blk.entries):
+                    for j, a in brow.items():
+                        row[c0 + j] = a
             c0 += cdim
-        r0 += rdim
-    return out
+        out += band
+    return Matrix.sparse(ring, out, sum(col_dims))
+
+
+def _transpose(rows, ncols):
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            cols[j][i] = a
+    return cols
 
 
 # -- Smith normal form -----------------------------------------------
@@ -261,102 +270,85 @@ class SNF:
 
     @property
     def diagonal(self):
-        return [
-            self.D.rows[i][i] for i in range(min(self.D.nrows, self.D.ncols))
-        ]
+        return [self.D.entry(i, i) for i in range(min(self.D.nrows, self.D.ncols))]
 
     def solve(self, B: Matrix):
         """Exact X with A X = B for the diagonalized A, or None if there is none."""
         rg = self.D.ring
         C = self.U.mul(B)
         diag = self.diagonal
-        Y = Matrix.zeros(rg, self.D.ncols, B.ncols)
-        for i in range(self.D.nrows):
+        Y = [{} for _ in range(self.D.ncols)]
+        for i, crow in enumerate(C.entries):
             d = diag[i] if i < len(diag) else rg.zero()
-            for j in range(B.ncols):
-                c = C.rows[i][j]
-                if c:
-                    if not d:
-                        return None
-                    q, r = rg.divmod(c, d)
-                    if r:
-                        return None
-                    Y.rows[i][j] = q
-        return self.V.mul(Y)
+            for j, c in crow.items():
+                if not d:
+                    return None
+                q, r = rg.divmod(c, d)
+                if r:
+                    return None
+                Y[i][j] = q
+        return self.V.mul(Matrix.sparse(rg, Y, B.ncols))
 
 
-def _find_pivot(rows, t, m, n, size):
-    """The nonzero entry of least Euclidean size in the submatrix from (t, t),
-    ties going to the lowest row, then column.  A unit (size 1) is least, so
-    the first unit in row-major order is the answer and ends the scan; over a
-    field that is the first nonzero entry."""
+def _find_pivot(rows, t, size):
+    """The nonzero entry of least Euclidean size in the rows from t, ties
+    going to the lowest row, then column.  Those rows hold no column left of
+    t.  A unit (size 1) is least, so the first row holding a unit gives the
+    answer and ends the scan; over a field that is the first nonzero row."""
     best = None
-    for i in range(t, m):
-        ri = rows[i]
-        for j in range(t, n):
-            a = ri[j]
-            if a:
-                s = size(a)
-                if s == 1:
-                    return i, j
-                if best is None or s < best[0]:
-                    best = (s, i, j)
+    for i in range(t, len(rows)):
+        row = rows[i]
+        if row:
+            s, j = min((size(a), j) for j, a in row.items())
+            if s == 1:
+                return i, j
+            if best is None or s < best[0]:
+                best = (s, i, j)
     return None if best is None else best[1:]
 
 
-def _swap_rows(mat, i, j):
-    if i != j:
-        mat[i], mat[j] = mat[j], mat[i]
-
-
-def _swap_cols(mat, i, j):
-    if i != j:
-        for row in mat:
-            row[i], row[j] = row[j], row[i]
-
-
-def _rows_with_nonzero(mat, t):
-    """The rows of mat whose entry in column t is nonzero: the only rows a
-    column operation col_j -= c * col_t changes.  A sweep over j != t leaves
-    column t as it is, so one list serves the whole sweep."""
-    return [row for row in mat if row[t]]
-
-
-def _add_multiple(dst, src, c, op, mul):
+def _add_multiple(dst, src, c, op, mul, zero):
     """The row operation dst[j] = op(dst[j], mul(c, src[j])), with op an
-    addition or a subtraction, made in place at the positions where src is
-    nonzero: elsewhere it would add zero."""
-    for j, y in enumerate(src):
-        if y:
-            dst[j] = op(dst[j], mul(c, y))
+    addition or a subtraction, made in place at the columns src holds: an
+    entry that cancels is deleted.  c and src[j] are nonzero, and so, in an
+    integral domain, is their product, so only an entry dst held can cancel."""
+    for j, y in src.items():
+        x = op(dst.get(j, zero), mul(c, y))
+        if x:
+            dst[j] = x
+        else:
+            del dst[j]
 
 
 def _scale(row, c, mul):
-    """row[j] = mul(c, row[j]) in place at the nonzero positions."""
-    for j, y in enumerate(row):
-        if y:
-            row[j] = mul(c, y)
+    """row[j] = mul(c, row[j]) in place, for a unit c."""
+    for j, y in row.items():
+        row[j] = mul(c, y)
 
 
 def _move_pivot(D, T, t, pi, pj):
     """Swap the pivot at (pi, pj) to (t, t) in D and, when T holds the
-    transforms (U, Ut = (U^-1)^T, V, Vi = V^-1), in them too."""
-    _swap_rows(D, t, pi)
-    _swap_cols(D, t, pj)
+    transforms (U, Ut = (U^-1)^T, Vt = V^T, Vi = V^-1), in them too.  Rows
+    above t hold no column from t on, so only the rows from t can hold the
+    two columns swapped."""
+    D[t], D[pi] = D[pi], D[t]
+    if pj != t:
+        for i in range(t, len(D)):
+            row = D[i]
+            a, b = row.pop(t, None), row.pop(pj, None)
+            if b is not None:
+                row[t] = b
+            if a is not None:
+                row[pj] = a
     if T:
-        U, Ut, V, Vi = T
-        _swap_rows(U, t, pi)
-        _swap_rows(Ut, t, pi)
-        _swap_cols(V, t, pj)
-        _swap_rows(Vi, t, pj)
+        U, Ut, Vt, Vi = T
+        U[t], U[pi], Ut[t], Ut[pi] = U[pi], U[t], Ut[pi], Ut[t]
+        Vt[t], Vt[pj], Vi[t], Vi[pj] = Vt[pj], Vt[t], Vi[pj], Vi[t]
 
 
 def _identity_rows(rg, n):
-    one, zero = rg.one(), rg.zero()
-    rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = one
-    return rows
+    one = rg.one()
+    return [{i: one} for i in range(n)]
 
 
 def _check_capacity(m, n, entries):
@@ -379,44 +371,42 @@ def smith_normal_form(A: Matrix) -> SNF:
 
     Each row operation on U is the inverse column operation on U^-1, kept
     transposed so that it is a row operation too; each column operation on V
-    is the inverse row operation on V^-1.
+    is a row operation on V^T, kept in its place, and the inverse row
+    operation on V^-1.
     """
     m, n = A.nrows, A.ncols
     _check_capacity(m, n, m * n + 2 * m * m + 2 * n * n)
     rg = A.ring
-    D = [row[:] for row in A.rows]
+    D = [dict(row) for row in A.entries]
     U, Ut = _identity_rows(rg, m), _identity_rows(rg, m)
-    V, Vi = _identity_rows(rg, n), _identity_rows(rg, n)
-    rank = _eliminate(D, (U, Ut, V, Vi), m, n, rg)
-    dD = Matrix(rg, D)
-    dD.ncols = n
-    Uinv = Matrix(rg, [list(c) for c in zip(*Ut)])
-    return SNF(Matrix(rg, U), dD, Matrix(rg, V), Uinv, Matrix(rg, Vi), rank)
+    Vt, Vi = _identity_rows(rg, n), _identity_rows(rg, n)
+    rank = _eliminate(D, (U, Ut, Vt, Vi), rg)
+    S = Matrix.sparse
+    return SNF(S(rg, U, m), S(rg, D, n), S(rg, _transpose(Vt, n), n),
+               S(rg, _transpose(Ut, m), m), S(rg, Vi, n), rank)
 
 
 def smith_diagonal(A: Matrix) -> tuple[list, int]:
     """The diagonal of A's Smith normal form and its rank, without transforms.
 
-    A sparse pass first eliminates unit pivots.  Rows are held as dicts of
-    their nonzero entries, with the set of rows in each column, and a heap
-    keyed on row length picks the next row; in it, the unit whose column is
-    shortest is the pivot.  Subtracting multiples of the pivot row clears its
-    column (the Schur-complement update: cancelled entries are deleted and
-    fill-in joins its column's set), and the pivot row and column are
-    dropped.  A row with no unit waits until an elimination changes it.
-    Eliminating a unit is an invertible row and column operation that leaves
-    diag(1, S), so A has the Smith form of S with one more 1 in front, and
-    the invariant factors and rank are those the dense elimination finds.
-    What is left, the nonzero rows and columns of S, goes densely through the
-    elimination `smith_normal_form` runs, with no transforms.  Neither part
-    ever holds more than the m x n entries of A.
+    A first pass eliminates unit pivots.  It keeps the set of rows in each
+    column, and a heap keyed on row length picks the next row; in it, the
+    unit whose column is shortest is the pivot.  Subtracting multiples of the
+    pivot row clears its column (the Schur-complement update: cancelled
+    entries are deleted and fill-in joins its column's set), and the pivot
+    row and column are dropped.  A row with no unit waits until an
+    elimination changes it.  Eliminating a unit is an invertible row and
+    column operation that leaves diag(1, S), so A has the Smith form of S
+    with one more 1 in front, and the invariant factors and rank are those
+    the elimination alone finds.  What is left, the nonzero rows of S, goes
+    through the elimination `smith_normal_form` runs, with no transforms.
+    Neither part ever holds more than the m x n entries of A.
     """
     m, n = A.nrows, A.ncols
     _check_capacity(m, n, m * n)
     rg = A.ring
     add, mul, size = rg.add, rg.mul, rg.size
-    # compress walks the dense row in C and yields only the nonzero columns.
-    rows = [{j: row[j] for j in compress(range(n), row)} for row in A.rows]
+    rows = [dict(row) for row in A.entries]
     cols = [set() for _ in range(n)]
     for i, row in enumerate(rows):
         for j in row:
@@ -462,85 +452,87 @@ def smith_diagonal(A: Matrix) -> tuple[list, int]:
             if row:
                 heapq.heappush(heap, (len(row), i))
         units += 1
-    zero = rg.zero()
-    live = [j for j in range(n) if cols[j]]
-    D = [[row.get(j, zero) for j in live] for row in rows if row]
-    rank = _eliminate(D, None, len(D), len(live), rg)
+    D = [row for row in rows if row]
+    rank = _eliminate(D, None, rg)
     diag = [rg.one()] * units + [D[i][i] for i in range(rank)]
-    return diag + [zero] * (min(m, n) - len(diag)), units + rank
+    return diag + [rg.zero()] * (min(m, n) - len(diag)), units + rank
 
 
-def _eliminate(D, T, m, n, rg):
-    """Diagonalize the rows D in place and return the rank; T is the tuple
-    (U, Ut, V, Vi) of transforms to update alongside, or None.
+def _eliminate(D, T, rg):
+    """Diagonalize the row dicts D in place and return the rank; T is the
+    tuple (U, Ut, Vt, Vi) of transforms to update alongside, or None.
 
     Rows above t and columns left of t are already zero in column t and row
     t, as every earlier pivot's row and column were cleared, so each sweep
-    starts at t + 1.  A unit pivot (d == 1, always so over a field) divides
-    with no call: the quotient is the entry.  A nonzero remainder, which only
-    Z leaves, is smaller than the pivot and is picked as the next one.
+    runs over the rows below t and the columns right of t that hold an
+    entry.  The column operations on D change only the rows that hold column
+    t: row t and the rows whose remainder the row sweep left there.  A unit
+    pivot (d == 1, always so over a field) divides with no call: the
+    quotient is the entry.  A nonzero remainder, which only Z leaves, is
+    smaller than the pivot and is picked as the next one.
     """
-    U, Ut, V, Vi = T or (None,) * 4
+    U, Ut, Vt, Vi = T or (None,) * 4
     add, sub, mul, size, quo = rg.add, rg.sub, rg.mul, rg.size, rg.divmod
-    t = 0
+    zero, m, t = rg.zero(), len(D), 0
     while True:
-        piv = _find_pivot(D, t, m, n, size)
+        piv = _find_pivot(D, t, size)
         if piv is None:
             break
         _move_pivot(D, T, t, *piv)
         while True:
-            u = rg.normalizer(D[t][t])
+            top = D[t]
+            u = rg.normalizer(top[t])
             if u != 1:
-                _scale(D[t], u, mul)
+                _scale(top, u, mul)
                 if T:
                     _scale(U[t], u, mul)
                     _scale(Ut[t], rg.inv(u), mul)
-            d = D[t][t]
-            dirty = False
+            d = top[t]
+            drows = [top]
             for i in range(t + 1, m):
-                a = D[i][t]
+                a = D[i].get(t)
                 if a:
                     q = a if d == 1 else quo(a, d)[0]
                     if q:
-                        _add_multiple(D[i], D[t], q, sub, mul)
+                        _add_multiple(D[i], top, q, sub, mul, zero)
                         if T:
-                            _add_multiple(U[i], U[t], q, sub, mul)
-                            _add_multiple(Ut[t], Ut[i], q, add, mul)
-                    if D[i][t]:
-                        dirty = True
-            drows = _rows_with_nonzero(D, t)
-            vrows = _rows_with_nonzero(V, t) if T else ()
-            for j in range(t + 1, n):
-                a = D[t][j]
-                if a:
-                    q = a if d == 1 else quo(a, d)[0]
-                    if q:
-                        for row in drows:
-                            row[j] = sub(row[j], mul(q, row[t]))
-                        for row in vrows:
-                            row[j] = sub(row[j], mul(q, row[t]))
-                        if T:
-                            _add_multiple(Vi[t], Vi[j], q, add, mul)
-                    if D[t][j]:
-                        dirty = True
+                            _add_multiple(U[i], U[t], q, sub, mul, zero)
+                            _add_multiple(Ut[t], Ut[i], q, add, mul, zero)
+                    if t in D[i]:
+                        drows.append(D[i])
+            dirty = len(drows) > 1
+            for j, a in [(j, a) for j, a in top.items() if j != t]:
+                q = a if d == 1 else quo(a, d)[0]
+                if q:
+                    for row in drows:
+                        x = sub(row.get(j, zero), mul(q, row[t]))
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
+                    if T:
+                        _add_multiple(Vt[j], Vt[t], q, sub, mul, zero)
+                        _add_multiple(Vi[t], Vi[j], q, add, mul, zero)
+                if j in top:
+                    dirty = True
             if dirty:
-                _move_pivot(D, T, t, *_find_pivot(D, t, m, n, size))
+                _move_pivot(D, T, t, *_find_pivot(D, t, size))
                 continue
             # Row and column are clear; enforce divisibility into the rest,
             # which a unit pivot has already.
             if d == 1:
                 break
             offender = next(
-                (i for i in range(t + 1, m) if any(quo(x, d)[1] for x in D[i][t + 1:n])),
+                (i for i in range(t + 1, m) if any(quo(x, d)[1] for x in D[i].values())),
                 None,
             )
             if offender is None:
                 break
             one = rg.one()
-            _add_multiple(D[t], D[offender], one, add, mul)
+            _add_multiple(top, D[offender], one, add, mul, zero)
             if T:
-                _add_multiple(U[t], U[offender], one, add, mul)
-                _add_multiple(Ut[offender], Ut[t], one, sub, mul)
+                _add_multiple(U[t], U[offender], one, add, mul, zero)
+                _add_multiple(Ut[offender], Ut[t], one, sub, mul, zero)
         t += 1
     return t
 
@@ -581,25 +573,30 @@ def inverse(A: Matrix) -> Matrix:
 
 def determinant(A: Matrix):
     """Exact determinant by Bareiss fraction-free elimination, in the ring's
-    operations: every division is exact, since the ring is an integral domain."""
+    operations: every division is exact, since the ring is an integral domain.
+    Step t rebuilds each row below t on the columns right of t, the only
+    ones later steps read."""
     if A.nrows != A.ncols:
         raise TwistlabError("determinant of a non-square matrix")
     n = A.nrows
     rg = A.ring
-    M = [row[:] for row in A.rows]
+    zero, sub, mul, div = rg.zero(), rg.sub, rg.mul, rg.exact_div
+    M = list(A.entries)
     det = prev = rg.one()
     for t in range(n):
-        if not M[t][t]:
-            piv = next((i for i in range(t + 1, n) if M[i][t]), None)
+        if t not in M[t]:
+            piv = next((i for i in range(t + 1, n) if t in M[i]), None)
             if piv is None:
                 return rg.zero()
             M[t], M[piv] = M[piv], M[t]
             det = rg.neg(det)
-        p = M[t][t]
+        top = M[t]
+        p = top[t]
         for i in range(t + 1, n):
-            a, row = M[i][t], M[i]
-            for j in range(t + 1, n):
-                row[j] = rg.exact_div(rg.sub(rg.mul(row[j], p), rg.mul(a, M[t][j])), prev)
+            row = M[i]
+            a = row.get(t, zero)
+            M[i] = {j: x for j in range(t + 1, n)
+                    if (x := div(sub(mul(row.get(j, zero), p), mul(a, top.get(j, zero))), prev))}
         prev = p
     return rg.mul(det, prev)
 

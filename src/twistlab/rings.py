@@ -43,6 +43,10 @@ class Ring:
     def from_int(self, n: int):
         raise NotImplementedError
 
+    def is_element(self, a) -> bool:
+        """Whether a is a canonical element of this ring."""
+        raise NotImplementedError
+
     def add(self, a, b):
         raise NotImplementedError
 
@@ -116,6 +120,9 @@ class IntegerRing(Ring):
     def from_int(self, n):
         return int(n)
 
+    def is_element(self, a):
+        return type(a) is int
+
     def is_zero(self, a):
         return a == 0
 
@@ -144,17 +151,13 @@ class RationalField(Ring):
     def from_int(self, n):
         return Fraction(n)
 
-    def add(self, a, b):
-        return a + b
+    def is_element(self, a):
+        return type(a) is Fraction
 
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
 
     def is_zero(self, a):
         return a == 0
@@ -214,6 +217,9 @@ class PrimeField(Ring):
 
     def from_int(self, n):
         return n % self.p
+
+    def is_element(self, a):
+        return type(a) is int and 0 <= a < self.p
 
     def add(self, a, b):
         return (a + b) % self.p

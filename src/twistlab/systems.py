@@ -54,7 +54,7 @@ class LocalSystem:
                 raise RingMismatchError(
                     f"system {self.name!r}: transport on {e!r} is over {T.ring}"
                 )
-            key = tuple(map(tuple, T.rows))
+            key = _key(T)
             if key in invertible:
                 continue
             if not is_invertible(T):
@@ -83,13 +83,18 @@ class LocalSystem:
 
     def transport_inverse(self, edge: str) -> Matrix:
         T = self.transport(edge)
-        key = tuple(map(tuple, T.rows))
+        key = _key(T)
         if key not in self._inverses:
             self._inverses[key] = inverse(T)
         return self._inverses[key]
 
     def __repr__(self):
         return f"LocalSystem({self.name!r}, rank {self.rank} over {self.ring})"
+
+
+def _key(T: Matrix) -> tuple:
+    """T's entries as a hashable value, the same for equal matrices."""
+    return tuple([frozenset(row.items()) for row in T.entries])
 
 
 @dataclass
@@ -197,18 +202,12 @@ def tensor_systems(G: LocalSystem, H: LocalSystem) -> LocalSystem:
 
 
 def _kronecker(A: Matrix, B: Matrix) -> Matrix:
-    rg = A.ring
-    rows = []
-    for ai in range(A.nrows):
-        for bi in range(B.nrows):
-            row = []
-            for aj in range(A.ncols):
-                a = A.rows[ai][aj]
-                row.extend(rg.mul(a, b) for b in B.rows[bi])
-            rows.append(row)
-    m = Matrix(rg, rows)
-    m.ncols = A.ncols * B.ncols
-    return m
+    mul, n = A.ring.mul, B.ncols
+    rows = [
+        {aj * n + bj: mul(a, b) for aj, a in arow.items() for bj, b in brow.items()}
+        for arow in A.entries for brow in B.entries
+    ]
+    return Matrix.sparse(A.ring, rows, A.ncols * n)
 
 
 def gauge_transform(G: LocalSystem, s: Gauge) -> LocalSystem:
@@ -237,6 +236,12 @@ def cast_system(G: LocalSystem, ring: Ring) -> LocalSystem:
 
 
 # -- orientation character ---------------------------------------------
+
+
+def _sign_matrices() -> dict[int, Matrix]:
+    """[[1]] and [[-1]] over Z, each shared by every edge or vertex that
+    carries it, as a constant system shares its identity."""
+    return {v: Matrix.from_int_rows(Z, [[v]]) for v in (1, -1)}
 
 
 def _signed_coface_key(i: int, j: int) -> int:
@@ -311,12 +316,13 @@ def orientation_system(K: DeltaComplex) -> LocalSystem:
         corner_sign.update(local)
 
     transports = {}
+    sign = _sign_matrices()
     for e in K.simplices(1):
         if e not in spanning:
             raise ValidationError(f"edge {e!r} lies in no top simplex")
         s, a, b = spanning[e]
         val = corner_sign[(s, a)] * corner_sign[(s, b)]
-        transports[e] = Matrix.from_int_rows(Z, [[val]])
+        transports[e] = sign[val]
     try:
         return LocalSystem(f"w({K.name})", K, Z, 1, transports)
     except ValidationError:
@@ -336,13 +342,13 @@ def is_trivializable(G: LocalSystem):
     if G.rank != 1 or G.ring != Z:
         raise ValidationError("trivializability test needs a rank-1 system over Z")
     for e, T in G.transports.items():
-        if T.rows[0][0] not in (1, -1):
+        if T.entry(0, 0) not in (1, -1):
             raise ValidationError(f"transport on {e!r} is not a sign")
     K = G.base
     edges: dict[str, list[tuple[str, int]]] = {v: [] for v in K.simplices(0)}
     for e in K.simplices(1):
         tail, head = K.edge_ends(e)
-        t = G.transport(e).rows[0][0]
+        t = G.transport(e).entry(0, 0)
         edges[tail].append((head, t))
         edges[head].append((tail, t))
     s: dict[str, int] = {}
@@ -352,7 +358,8 @@ def is_trivializable(G: LocalSystem):
             if component is None:
                 return False, None
             s.update(component)
-    gauge = Gauge({v: Matrix.from_int_rows(Z, [[s[v]]]) for v in s})
+    sign = _sign_matrices()
+    gauge = Gauge({v: sign[s[v]] for v in s})
     return True, gauge
 
 
@@ -362,11 +369,10 @@ def sign_systems(K: DeltaComplex) -> list[LocalSystem]:
     if len(edges) > 12:
         raise TwistlabError("sign-system enumeration capped at 12 edges")
     out = []
+    sign = _sign_matrices()
     for mask in range(2 ** len(edges)):
         vals = [1 if (mask >> i) & 1 == 0 else -1 for i in range(len(edges))]
-        transports = {
-            e: Matrix.from_int_rows(Z, [[v]]) for e, v in zip(edges, vals)
-        }
+        transports = {e: sign[v] for e, v in zip(edges, vals)}
         try:
             out.append(LocalSystem(f"signs{mask}", K, Z, 1, transports))
         except ValidationError:

@@ -77,6 +77,7 @@ def _diffs(K, G, basis_names, direction):
     ring = G.ring
     d = G.rank
     cochain = direction == "cochain"
+    add = ring.add
     one = Matrix.identity(ring, d)
     minus_one = one.neg()
     minus_T = {}  # front edge -> -T (or -T^-1), made the first time it is needed
@@ -86,7 +87,7 @@ def _diffs(K, G, basis_names, direction):
         names = basis_names.get(k, ())
         face_idx = {nm: i for i, nm in enumerate(face_names)}
         nf, ns = len(face_names) * d, len(names) * d
-        mat = Matrix.zeros(ring, ns, nf) if cochain else Matrix.zeros(ring, nf, ns)
+        rows = [{} for _ in range(ns if cochain else nf)]
         flip = cochain and k % 2 == 0
         for sj, nm in enumerate(names):
             edge = K.front_edge(nm)
@@ -104,11 +105,14 @@ def _diffs(K, G, basis_names, direction):
                 else:
                     block = T
                 r0, c0 = (sj * d, fi * d) if cochain else (fi * d, sj * d)
-                for a in range(d):
-                    row = mat.rows[r0 + a]
-                    for b in range(d):
-                        row[c0 + b] = ring.add(row[c0 + b], block.rows[a][b])
-        diffs[k - 1 if cochain else k] = mat
+                for a, brow in enumerate(block.entries):
+                    row = rows[r0 + a]
+                    for b, x in brow.items():
+                        y = row.get(c0 + b)
+                        row[c0 + b] = x if y is None else add(y, x)
+        # A simplex with two equal faces can cancel an entry.
+        rows = [row if all(row.values()) else {j: x for j, x in row.items() if x} for row in rows]
+        diffs[k - 1 if cochain else k] = Matrix.sparse(ring, rows, nf if cochain else ns)
     return diffs
 
 
@@ -156,19 +160,17 @@ def induced_chain_map(f: SimplicialMap, G: LocalSystem):
     d = G.rank
     ring = G.ring
     chain_mats = {}
+    one = ring.one()
     for k in range(f.domain.dimension + 1):
-        mat = Matrix.zeros(ring, tgt.rank(k), src.rank(k))
+        # Column cj * d + t holds a 1 in row ri * d + t, ri the image of
+        # source simplex cj, unless the image is degenerate.
+        cols = []
         tgt_idx = {nm: i for i, nm in enumerate(tgt.basis_names(k))}
-        for cj, nm in enumerate(src.basis_names(k)):
+        for nm in src.basis_names(k):
             a = f.assignments[nm]
-            if a.degenerate:
-                continue
-            ri = tgt_idx[a.image]
-            for t in range(d):
-                mat.rows[ri * d + t][cj * d + t] = ring.add(
-                    mat.rows[ri * d + t][cj * d + t], ring.one()
-                )
-        chain_mats[k] = mat
+            ri = None if a.degenerate else tgt_idx[a.image]
+            cols += [{} if ri is None else {ri * d + t: one} for t in range(d)]
+        chain_mats[k] = Matrix.sparse(ring, cols, tgt.rank(k)).transpose()
     chains = ChainMapData(f"{f.name}_*", src, tgt, chain_mats, 1)
 
     csrc = cochain_complex(f.codomain, G)
@@ -224,11 +226,10 @@ def _coordinate_map(part, whole, pos, label, onto=False) -> ChainMapData:
     matrix in each degree is the transpose of the inclusion's."""
     ring = whole.ring
     mats = {}
+    one = ring.one()
     for k in whole.degree_span():
-        m = Matrix.zeros(ring, whole.rank(k), part.rank(k))
-        for j, p in enumerate(pos[k]):
-            m.rows[p][j] = ring.one()
-        mats[k] = m.transpose() if onto else m
+        m = Matrix.sparse(ring, [{p: one} for p in pos[k]], whole.rank(k))
+        mats[k] = m if onto else m.transpose()
     source, target = (whole, part) if onto else (part, whole)
     return ChainMapData(label, source, target, mats, 1)
 

@@ -62,18 +62,21 @@ def sign_systems_of(name: str) -> list:
 
 
 def random_unimodular(ring, d: int, rng: random.Random) -> tl.Matrix:
-    """Random invertible matrix built from elementary operations."""
-    m = tl.Matrix.identity(ring, d)
+    """Random invertible matrix built from elementary operations on the
+    rows of the identity."""
+    rows = tl.Matrix.identity(ring, d).rows
     for _ in range(3 * d):
         op = rng.randrange(3)
         i, j = rng.randrange(d), rng.randrange(d)
         if op == 0 and i != j:
             c = ring.from_int(rng.randint(-2, 2))
-            m.rows[i] = [ring.add(a, ring.mul(c, b)) for a, b in zip(m.rows[i], m.rows[j])]
+            rows[i] = [ring.add(a, ring.mul(c, b)) for a, b in zip(rows[i], rows[j])]
         elif op == 1:
-            m.rows[i] = [ring.neg(a) for a in m.rows[i]]
+            rows[i] = [ring.neg(a) for a in rows[i]]
         elif op == 2 and i != j:
-            m.rows[i], m.rows[j] = m.rows[j], m.rows[i]
+            rows[i], rows[j] = rows[j], rows[i]
+    m = tl.Matrix(ring, rows)
+    m.ncols = d
     return m
 
 

@@ -6,12 +6,14 @@ import pytest
 
 import twistlab as tl
 from twistlab import Matrix, Q, Z, kernel_basis, prime_field, smith_normal_form, solve
-from twistlab.errors import CapacityError, TwistlabError
+from twistlab.errors import CapacityError, RingMismatchError, TwistlabError
 from twistlab.matrices import (
-    determinant, image_basis, inverse, is_invertible, smith_diagonal,
+    block_matrix, determinant, image_basis, inverse, is_invertible, smith_diagonal,
 )
 
-from conftest import ALL_COMPLEXES, MANIFOLDS, load_complex, load_system, random_flat_system
+from conftest import (
+    ALL_COMPLEXES, MANIFOLDS, load_complex, load_system, random_flat_system, random_unimodular,
+)
 
 CONTRACT_RINGS = [Z, Q, prime_field(2), prime_field(5)]
 
@@ -44,11 +46,10 @@ def test_snf_zero_matrix():
 def random_matrix(rng, ring, m, n, density):
     """An m x n matrix with entries in -9..9, each drawn with probability
     `density` and zero otherwise; at density 1 no coin is tossed."""
-    A = Matrix.zeros(ring, m, n)
-    for row in A.rows:
-        for j in range(n):
-            if density >= 1 or rng.random() < density:
-                row[j] = ring.from_int(rng.randint(-9, 9))
+    rows = [[ring.from_int(rng.randint(-9, 9)) if density >= 1 or rng.random() < density
+             else ring.zero() for _ in range(n)] for _ in range(m)]
+    A = Matrix(ring, rows)
+    A.ncols = n
     return A
 
 
@@ -432,9 +433,9 @@ def _remainder_shapes(monkeypatch):
     shapes = []
     real = tl.matrices._eliminate
 
-    def recording(D, T, m, n, rg):
-        shapes.append((m, n))
-        return real(D, T, m, n, rg)
+    def recording(D, T, rg):
+        shapes.append((len(D), len({j for row in D for j in row})))
+        return real(D, T, rg)
 
     monkeypatch.setattr("twistlab.matrices._eliminate", recording)
     return shapes
@@ -476,11 +477,8 @@ def test_smith_diagonal_without_units_eliminates_nothing_sparsely(monkeypatch):
     for density in (0.2, 0.6, 1):
         for _ in range(60):
             m, n = rng.randint(1, 9), rng.randint(1, 9)
-            A = Matrix.zeros(Z, m, n)
-            for row in A.rows:
-                for j in range(n):
-                    if rng.random() < density:
-                        row[j] = rng.choice((-1, 1)) * rng.randint(2, 9)
+            A = Matrix(Z, [[rng.choice((-1, 1)) * rng.randint(2, 9) if rng.random() < density
+                            else 0 for _ in range(n)] for _ in range(m)])
             shapes.clear()
             smith_diagonal(A)
             assert shapes == [(sum(map(any, A.rows)), sum(map(any, zip(*A.rows))))], A.rows
@@ -494,10 +492,11 @@ def test_smith_diagonal_of_unit_permutations_leaves_no_remainder(ring, monkeypat
     shapes = _remainder_shapes(monkeypatch)
     for _ in range(60):
         m, n = rng.randint(1, 9), rng.randint(1, 9)
-        A = Matrix.zeros(ring, m, n)
+        rows = [[ring.zero()] * n for _ in range(m)]
         for i, j in zip(rng.sample(range(m), min(m, n)), rng.sample(range(n), min(m, n))):
             a = rng.choice(units)
-            A.rows[i][j] = a / rng.randint(1, 6) if ring == Q else a
+            rows[i][j] = a / rng.randint(1, 6) if ring == Q else a
+        A = Matrix(ring, rows)
         shapes.clear()
         assert smith_diagonal(A) == ([ring.one()] * min(m, n), min(m, n))
         assert shapes == [(0, 0)], A.rows
@@ -594,3 +593,132 @@ def test_differentials_on_the_fixtures_are_zero_exactly_when_falsy(rng):
             for k in C.degrees():
                 entries = [x for row in C.diff(k).rows for x in row]
                 _assert_zero_exactly_when_falsy(G.ring, entries, (name, G.name, k))
+
+
+# -- sparse rows against plain lists -------------------------------------------
+#
+# A `Matrix` holds each row as a dict of its nonzero entries; `.rows` is a dense
+# copy.  Every structural operation must give, on that dense view, what the
+# plain list computation gives, types included, and no row dict may hold a zero.
+
+
+def assert_no_zero_stored(A, where=None):
+    for row in A.entries:
+        assert all(row.values()), (A.entries, where)
+        assert all(0 <= j < A.ncols for j in row), (A.entries, where)
+    assert len(A.entries) == A.nrows, where
+
+
+def _dense_ref(ring, rows, ncols):
+    A = Matrix(ring, rows)
+    A.ncols = ncols
+    return A
+
+
+STRUCTURE_SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (2, 5), (5, 2), (4, 4), (6, 3)]
+
+
+@pytest.mark.parametrize("ring", CONTRACT_RINGS, ids=str)
+@pytest.mark.parametrize("density", [0.2, 0.6, 1])
+def test_structural_operations_match_plain_lists(ring, density):
+    rng = random.Random(8086)
+    F = ring.from_int
+    for m, n in STRUCTURE_SHAPES:
+        A, B = random_matrix(rng, ring, m, n, density), random_matrix(rng, ring, m, n, density)
+        k = rng.randint(0, 3)
+        C = random_matrix(rng, ring, m, k, density)
+        a, b, c = A.rows, B.rows, C.rows
+        x = F(rng.randint(-3, 3))
+        ri = [rng.randrange(m) for _ in range(rng.randint(0, 5))] if m else []
+        ci = [rng.randrange(n) for _ in range(rng.randint(0, 5))] if n else []
+        cases = [
+            (A.add(B), [[ring.add(p, q) for p, q in zip(r, s)] for r, s in zip(a, b)], n),
+            (A.neg(), [[ring.neg(p) for p in r] for r in a], n),
+            (A.sub(B), [[ring.sub(p, q) for p, q in zip(r, s)] for r, s in zip(a, b)], n),
+            (A.scale(x), [[ring.mul(x, p) for p in r] for r in a], n),
+            (A.transpose(), [[a[i][j] for i in range(m)] for j in range(n)], m),
+            (A.hstack(C), [r + s for r, s in zip(a, c)], n + k),
+            (A.submatrix(ri, ci), [[a[i][j] for j in ci] for i in ri], len(ci)),
+            (A.select_rows(ri), [a[i] for i in ri], n),
+            (A.select_cols(ci), [[r[j] for j in ci] for r in a], len(ci)),
+            (block_matrix(ring, [[A, C], [None, A.select_cols(range(k)) if k <= n else None]],
+                          [m, m], [n, k]),
+             [r + s for r, s in zip(a, c)]
+             + [[ring.zero()] * n + (r[:k] if k <= n else [ring.zero()] * k) for r in a], n + k),
+            (A.add(A.neg()), [[ring.zero()] * n for _ in range(m)], n),
+            (A.copy(), a, n),
+        ]
+        if ring == Z:
+            for target in (Q, prime_field(2), prime_field(5)):
+                cases.append((A.cast(target), [[target.from_int(p) for p in r] for r in a], n))
+        for got, ref, ncols in cases:
+            assert (got.nrows, got.ncols) == (len(ref), ncols), (m, n)
+            assert repr(got.rows) == repr(ref), (m, n)
+            assert_no_zero_stored(got, (m, n))
+            assert got == _dense_ref(got.ring, ref, ncols)
+            assert got.is_zero() == all(got.ring.is_zero(p) for r in ref for p in r)
+        assert A.add(A.neg()).is_zero() and A.sub(A) == Matrix.zeros(ring, m, n)
+        assert A == A.copy() and A.add(B) == B.add(A)
+        assert (A == B) == (a == b)
+        assert A != Matrix.zeros(ring, m, n + 1)
+        assert_no_zero_stored(A)
+
+
+@pytest.mark.parametrize("ring", CONTRACT_RINGS, ids=str)
+def test_cancellation_stores_no_zero(ring):
+    F = ring.from_int
+    A = Matrix(ring, [[F(1), F(1)], [F(2), F(0)]])
+    B = Matrix(ring, [[F(1)], [F(-1)]])
+    P = A.mul(B)
+    assert P.rows == [[ring.zero()], [F(2)]]
+    assert_no_zero_stored(P)
+    assert P.entries[0] == {} and A.add(A.neg()).entries == [{}, {}]
+    if ring == prime_field(2):
+        assert A.add(A).is_zero() and A.add(A).entries == [{}, {}]
+    rng = random.Random(5)
+    for _ in range(40):
+        m, n = rng.randint(0, 7), rng.randint(0, 7)
+        M = random_matrix(rng, ring, m, n, 0.5)
+        snf = smith_normal_form(M)
+        for X in (snf.U, snf.D, snf.V, snf.Uinv, snf.Vinv, M.mul(snf.V), snf.U.mul(M)):
+            assert_no_zero_stored(X, (m, n))
+
+
+@pytest.mark.parametrize(
+    "ring, bad",
+    [
+        pytest.param(Z, [Fraction(1, 2), Fraction(2), 1.0, True, "1", None], id="Z"),
+        pytest.param(Q, [1, 0, 0.5, True], id="Q"),
+        pytest.param(prime_field(2), [2, -1, Fraction(1), True], id="F2"),
+        pytest.param(prime_field(5), [5, -1, 7, Fraction(1), 1.0], id="F5"),
+    ],
+)
+def test_public_constructor_rejects_entries_outside_the_ring(ring, bad):
+    good = [ring.zero(), ring.one()]
+    assert Matrix(ring, [good]).rows == [good]
+    for x in bad:
+        with pytest.raises(RingMismatchError):
+            Matrix(ring, [good, [ring.one(), x]])
+        with pytest.raises(RingMismatchError):
+            Matrix.column(ring, [ring.one(), x])
+    with pytest.raises(TwistlabError):
+        Matrix(ring, [good, [ring.one()]])
+
+
+def test_out_of_ring_entries_give_no_silently_wrong_answer():
+    F5 = prime_field(5)
+    with pytest.raises(RingMismatchError):
+        Matrix(F5, [[5]])
+    with pytest.raises(RingMismatchError):
+        Matrix(Z, [[Fraction(1, 2), 1]])
+    assert Matrix.from_int_rows(F5, [[5]]).is_zero()
+    assert Matrix.from_int_rows(F5, [[5]]) == Matrix.zeros(F5, 1, 1)
+
+
+@pytest.mark.parametrize("ring", CONTRACT_RINGS, ids=str)
+def test_random_unimodular_is_not_the_identity(ring):
+    for d in (2, 3):
+        U = random_unimodular(ring, d, random.Random(20260810))
+        assert U != Matrix.identity(ring, d)
+        assert is_invertible(U)
+        assert_no_zero_stored(U)

@@ -285,9 +285,11 @@ def reference_triple(K, G, n):
     relC1 = tl.TwistedComplex("rel1", Kn, Gn, "chain", frozenset(Kn.simplices(n - 1)))
     mats = {}
     for k in subC.degree_span():
-        m = Matrix.zeros(G.ring, relC1.rank(k), subC.rank(k))
+        rows = [[G.ring.zero()] * subC.rank(k) for _ in range(relC1.rank(k))]
         for i, p in enumerate(subC.positions_of(k, relC1.basis_names(k))):
-            m.rows[i][p] = G.ring.one()
+            rows[i][p] = G.ring.one()
+        m = Matrix(G.ring, rows)
+        m.ncols = subC.rank(k)
         mats[k] = m
     quot = tl.ChainMapData("quot", subC, relC1, mats, 1)
     q_ind = tl.induced_map_on_homology(quot, n - 1)
