@@ -77,7 +77,7 @@ def _fmt_matrix(m: Matrix) -> str:
     return "[" + ",".join("[" + ",".join(str(x) for x in row) + "]" for row in m.rows) + "]"
 
 
-def _emit_groups(out, kind: str, complex_name: str, groups, fmt: str):
+def _emit_groups(out, kind: str, groups, fmt: str):
     sym = "H^" if kind == "cohomology" else "H_"
     if fmt == "tsv":
         for k, pres in groups:
@@ -161,7 +161,7 @@ def _cmd_groups(args, out, kind: str):
         out.append(f"{kind} of {where} with coefficients {G.name} over {G.ring.token}")
     degrees = [args.degree] if args.degree is not None else range(K.dimension + 1)
     groups = [(k, C.group(k)) for k in degrees]
-    _emit_groups(out, kind, K.name, groups, args.format)
+    _emit_groups(out, kind, groups, args.format)
     return 0
 
 

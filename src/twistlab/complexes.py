@@ -314,22 +314,6 @@ def parse_subcomplex(text: str, K: DeltaComplex) -> SubcomplexPair:
     return subcomplex(K, names)
 
 
-def skeleton_pair(K: DeltaComplex, n: int) -> SubcomplexPair:
-    """(K, K^n): the subcomplex of all simplices of dimension <= n."""
-    names = [nm for k in range(min(n, K.dimension) + 1) for nm in K.simplices(k)]
-    return subcomplex(K, names)
-
-
-def subcomplex_as_complex(P: SubcomplexPair, new_name: str) -> DeltaComplex:
-    """Materialize the subcomplex as a DeltaComplex (names and order kept)."""
-    K = P.complex
-    members = P.member_set()
-    entries = [
-        (K.dim_of(nm), nm, K.faces(nm)) for nm in K.all_simplices() if nm in members
-    ]
-    return build_complex(new_name, entries)
-
-
 # -- pseudomanifold recognition ---------------------------------------
 
 

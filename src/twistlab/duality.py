@@ -34,15 +34,6 @@ from .systems import (
 )
 from .twisted import _diffs, _require_base, chain_complex
 
-# Calibrated Leibniz signs: s1 is degree-independent, s2 depends only on the
-# cochain degree k.  Asserted across random instances in the test suite.
-CAP_LEIBNIZ_S1 = -1
-
-
-def cap_leibniz_s2(k: int) -> int:
-    return -1 if k % 2 else 1
-
-
 @dataclass
 class FundamentalClass:
     """Unit-coefficient top cycle of a closed pseudomanifold, twisted by w."""

@@ -44,6 +44,8 @@ class FreeComplex:
 
     direction 'chain': diffs[k] maps degree k to k-1.
     direction 'cochain': diffs[k] maps degree k to k+1.
+    Every differential is checked, when the complex is built, to be over its
+    ring, to be rank(target) x rank(k), and to square to zero.
     """
 
     def __init__(self, label: str, ring: Ring, direction: str,
@@ -54,6 +56,14 @@ class FreeComplex:
         self.ring = ring
         self.direction = direction
         self._ranks = {k: r for k, r in ranks.items() if r > 0}
+        for k, d in diffs.items():
+            if d.ring != ring:
+                raise RingMismatchError(f"{label}: differential at degree {k} is over "
+                                        f"{d.ring}, not {ring}")
+            shape = (self.rank(self._target_degree(k)), self.rank(k))
+            if (d.nrows, d.ncols) != shape:
+                raise TwistlabError(f"{label}: differential at degree {k} is "
+                                    f"{d.nrows}x{d.ncols}, not {shape[0]}x{shape[1]}")
         self._diffs = diffs
         self._homology: dict[int, tuple] = {}
         self._diagonals: dict[int, tuple[list, int]] = {}

@@ -93,9 +93,6 @@ class Ring:
     def parse(self, text: str):
         raise NotImplementedError
 
-    def fmt(self, a) -> str:
-        return str(a)
-
     def __repr__(self):
         return self.token
 
@@ -184,9 +181,6 @@ class RationalField(Ring):
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise TwistlabError(f"bad rational {text!r}") from None
-
-    def fmt(self, a):
-        return str(a)
 
 
 def _is_prime(p: int) -> bool:

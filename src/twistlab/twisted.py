@@ -9,7 +9,7 @@ Bases are ordered simplex-major in input file order, fiber coordinates inner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import DeltaComplex, SubcomplexPair
 from .errors import TwistlabError, ValidationError
@@ -25,10 +25,6 @@ from .homology import (
 from .maps import SimplicialMap
 
 from .systems import LocalSystem, pullback_system
-
-# Global sign relating the skeleton-triple composite to the direct boundary;
-# calibrated once on the circle with holonomy -1 and asserted everywhere.
-CELLULAR_TRIPLE_SIGN = 1
 
 
 class TwistedComplex(FreeComplex):
@@ -234,13 +230,13 @@ def _coordinate_map(part, whole, pos, label, onto=False) -> ChainMapData:
     return ChainMapData(label, source, target, mats, 1)
 
 
-def _connecting_map(fullC, source, target, src_pos, tgt_pos, k) -> Matrix:
-    """Snake-lemma connecting map from H_k(source) to the homology of target
-    one step along the differential: extend each representative by zero into
-    fullC, apply its differential, and read the image on target's coordinates.
+def _connecting_map(fullC, reps, target, src_pos, tgt_pos, k) -> Matrix:
+    """Snake-lemma connecting map on the classes whose representatives are the
+    columns of reps, cycles of the quotient of fullC on its coordinates
+    src_pos[k]: extend each by zero into fullC, apply its differential, and
+    read the class of the image in target, one step along the differential.
     """
     j = fullC._target_degree(k)
-    reps = source.homology(k).representatives
     img = fullC.diff(k).select_cols(src_pos[k]).mul(reps)
     if not img.select_rows(src_pos[j]).is_zero():
         raise TwistlabError("connecting image does not lie in the target complex")
@@ -284,7 +280,8 @@ def assemble_les(P: SubcomplexPair, G: LocalSystem, variant: str = "homology") -
         maps.append(induced_map_on_homology(onto, k))
         labels += [f"i{mark}{k}", f"{letter}{mark}{k}"]
         if k != degrees[-1]:
-            maps.append(_connecting_map(fullC, B, A, b_pos, a_pos, k))
+            maps.append(_connecting_map(fullC, B.homology(k).representatives, A,
+                                        b_pos, a_pos, k))
             labels.append(f"d{mark}{k}")
     return LesFragment(
         variant, nodes, maps, labels, {"sub": subC, "full": fullC, "rel": relC}
@@ -299,9 +296,12 @@ class _Skeleta:
 
     skeleton(k) is C(K^k), free on the simplices of dimension <= k, and
     layer(k) is C(K^k, K^{k-1}), free on the k-simplices with zero
-    differential.  top, when given, is C(K) and serves as the top skeleton.
-    Each complex is built the first time it is asked for, so the triples of
-    consecutive degrees share the skeleton and the layer they both read.
+    differential.  A layer's homology is itself with its canonical basis, so a
+    layer is never asked for it: its basis names fix the positions of the
+    k-cells in the skeleta.  top, when given, is C(K) and serves as the top
+    skeleton.  Each complex is built the first time it is asked for, so the
+    triples of consecutive degrees share the skeleton and the layer they both
+    read.
     """
 
     def __init__(self, K: DeltaComplex, G: LocalSystem, top: TwistedComplex | None = None):
@@ -334,14 +334,16 @@ def cellular_boundary_via_triple(K: DeltaComplex, G: LocalSystem, n: int, *,
     """The composite H_n(K^n, K^{n-1}) -> H_{n-1}(K^{n-1}) -> H_{n-1}(K^{n-1}, K^{n-2})
     expressed against the canonical bases of the skeleton pairs.
 
-    Reads four complexes of the skeleton filtration of K, all built on K with
-    G itself: the skeleta C(K^{n-1}) and C(K^n) and the layers C(K^n, K^{n-1})
-    and C(K^{n-1}, K^{n-2}).  The composite is the snake-lemma connecting map
-    of 0 -> C(K^{n-1}) -> C(K^n) -> C(K^n, K^{n-1}) -> 0 followed by the map
-    the quotient C(K^{n-1}) -> C(K^{n-1}, K^{n-2}) induces on homology; after
-    the one-time global sign calibration it equals the direct twisted boundary
-    matrix entrywise.  `triple_checks` passes the filtration it shares between
-    degrees; a direct call builds the four complexes it reads.
+    The layers C(K^n, K^{n-1}) and C(K^{n-1}, K^{n-2}) have zero differential,
+    so their homology is the free module on the cells with its canonical basis.
+    The composite is therefore the snake-lemma connecting map of
+    0 -> C(K^{n-1}) -> C(K^n) -> C(K^n, K^{n-1}) -> 0 on the n-cells, followed
+    by the rows of H_{n-1}(K^{n-1})'s representatives at the (n-1)-cells, which
+    is the map the quotient C(K^{n-1}) -> C(K^{n-1}, K^{n-2}) induces.  It
+    reads the skeleta C(K^{n-1}) and C(K^n) and the bases of the two layers,
+    never a layer's homology, and needs no sign: it equals the direct twisted
+    boundary matrix entrywise.  `triple_checks` passes the filtration it shares
+    between degrees; a direct call builds the four complexes it reads.
     """
     _require_base(K, G)
     if not (1 <= n <= K.dimension):
@@ -351,22 +353,10 @@ def cellular_boundary_via_triple(K: DeltaComplex, G: LocalSystem, n: int, *,
     lower, upper = skeleta.skeleton(n - 1), skeleta.skeleton(n)
     layer, lower_layer = skeleta.layer(n), skeleta.layer(n - 1)
     lower_pos, layer_pos = _split_positions(upper, lower, layer, range(n + 1))
-    conn = _connecting_map(upper, layer, lower, layer_pos, lower_pos, n)
-
-    # psi: canonical basis of the relative skeleton group at degree n.
-    psi = layer.class_coordinates(n, Matrix.identity(G.ring, layer.rank(n)))
-
-    # The quotient map C(K^{n-1}) -> C(K^{n-1}, K^{n-2}); the latter is free
-    # on the (n-1)-cells with zero differential.
-    pos = {k: lower.positions_of(k, lower_layer.basis_names(k)) for k in lower.degree_span()}
-    quot = _coordinate_map(lower_layer, lower, pos, "quot", onto=True)
-    q_ind = induced_map_on_homology(quot, n - 1)
-
-    phi = lower_layer.homology(n - 1).representatives  # ambient == canonical basis
-    composite = phi.mul(q_ind).mul(conn).mul(psi)
-    if CELLULAR_TRIPLE_SIGN == -1:
-        composite = composite.neg()
-    return composite
+    conn = _connecting_map(upper, Matrix.identity(G.ring, layer.rank(n)), lower,
+                           layer_pos, lower_pos, n)
+    cells = lower.positions_of(n - 1, lower_layer.basis_names(n - 1))
+    return lower.homology(n - 1).representatives.select_rows(cells).mul(conn)
 
 
 # -- full comparison report ---------------------------------------------

@@ -55,6 +55,22 @@ def load_subcomplex(filename: str, K: tl.DeltaComplex) -> tl.SubcomplexPair:
     return tl.parse_subcomplex(fixture_text(filename), K)
 
 
+def skeleton_pair(K: tl.DeltaComplex, n: int) -> tl.SubcomplexPair:
+    """(K, K^n): the subcomplex of all simplices of dimension <= n."""
+    names = [nm for k in range(min(n, K.dimension) + 1) for nm in K.simplices(k)]
+    return tl.subcomplex(K, names)
+
+
+def subcomplex_as_complex(P: tl.SubcomplexPair, new_name: str) -> tl.DeltaComplex:
+    """Materialize the subcomplex as a DeltaComplex (names and order kept)."""
+    K = P.complex
+    members = P.member_set()
+    entries = [
+        (K.dim_of(nm), nm, K.faces(nm)) for nm in K.all_simplices() if nm in members
+    ]
+    return tl.build_complex(new_name, entries)
+
+
 def sign_systems_of(name: str) -> list:
     if name not in _sign_cache:
         _sign_cache[name] = tl.sign_systems(load_complex(name))

@@ -8,7 +8,14 @@ import twistlab as tl
 from twistlab import complexes
 from twistlab.errors import CapacityError, ParseError, TwistlabError, ValidationError
 
-from conftest import ALL_COMPLEXES, MANIFOLDS, fixture_text, load_complex
+from conftest import (
+    ALL_COMPLEXES,
+    MANIFOLDS,
+    fixture_text,
+    load_complex,
+    skeleton_pair,
+    subcomplex_as_complex,
+)
 from inputs import klein_bottle, kuhn_torus
 
 MALFORMED = Path(__file__).resolve().parent / "malformed"
@@ -174,8 +181,6 @@ def test_euler_characteristic_values():
 
 
 def test_skeleton_pair_and_materialization():
-    from twistlab.complexes import skeleton_pair, subcomplex_as_complex
-
     K = load_complex("sphere2")
     P = skeleton_pair(K, 1)
     assert all(K.dim_of(nm) <= 1 for nm in P.members)

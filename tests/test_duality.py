@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 import twistlab as tl
-from twistlab.duality import CAP_LEIBNIZ_S1, cap_leibniz_s2
 from twistlab.errors import TwistlabError, ValidationError
 
 from conftest import (
@@ -217,6 +216,15 @@ def test_system_on_a_different_complex_of_the_same_name_is_rejected():
 
 def _random_vec(ring, n, rng):
     return [ring.from_int(rng.randint(-3, 3)) for _ in range(n)]
+
+
+# Calibrated Leibniz signs of the cap product: s1 is degree-independent, s2
+# depends only on the cochain degree k.
+CAP_LEIBNIZ_S1 = -1
+
+
+def cap_leibniz_s2(k: int) -> int:
+    return -1 if k % 2 else 1
 
 
 def test_cap_leibniz_calibrated_signs(rng):

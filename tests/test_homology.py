@@ -71,6 +71,29 @@ def test_class_coordinates_of_boundary_vanish():
     assert all(c == 0 for c in coords)
 
 
+def test_free_complex_refuses_a_differential_of_the_wrong_shape():
+    # The d.d check skips a degree with no target rows, so the shape is
+    # checked on its own: a 2x1 boundary between two rank-1 terms.
+    with pytest.raises(TwistlabError, match="differential at degree 1 is 2x1, not 1x1"):
+        FreeComplex("x", tl.Z, "chain", {0: 1, 1: 1}, {1: M([[1], [1]])})
+    with pytest.raises(TwistlabError, match="differential at degree 0 is 1x1, not 0x1"):
+        FreeComplex("x", tl.Z, "cochain", {0: 1, 1: 0}, {0: M([[1]])})
+
+
+def test_free_complex_refuses_a_differential_over_another_ring():
+    # Over Z the boundary [[2]] leaves Z/2 in degree 0; read over Q it would
+    # leave 0.
+    with pytest.raises(RingMismatchError, match="differential at degree 1 is over Q, not Z"):
+        FreeComplex("x", tl.Z, "chain", {0: 1, 1: 1}, {1: M([[2]], tl.Q)})
+
+
+def test_free_complex_refuses_a_differential_at_a_degree_of_rank_zero():
+    with pytest.raises(TwistlabError, match="differential at degree 2 is 1x1, not 1x0"):
+        FreeComplex("x", tl.Z, "chain", {0: 1, 1: 1}, {1: M([[0]]), 2: M([[1]])})
+    with pytest.raises(TwistlabError, match="differential at degree 1 is 1x1, not 1x0"):
+        FreeComplex("x", tl.Z, "chain", {0: 1}, {1: M([[1]])})
+
+
 @pytest.mark.parametrize("name", ALL_COMPLEXES)
 def test_class_coordinates_of_representatives_are_the_identity(name, rng):
     K = load_complex(name)

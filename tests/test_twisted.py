@@ -6,7 +6,6 @@ import pytest
 import twistlab as tl
 from twistlab import twisted
 from twistlab.cli import run_cli
-from twistlab.complexes import skeleton_pair, subcomplex_as_complex
 from twistlab.errors import TwistlabError, ValidationError
 from twistlab.matrices import Matrix
 
@@ -16,6 +15,8 @@ from conftest import (
     load_system,
     random_flat_system,
     random_gauge,
+    skeleton_pair,
+    subcomplex_as_complex,
 )
 
 RINGS = [tl.Z, tl.Q, tl.prime_field(5)]
@@ -367,6 +368,29 @@ def test_triple_checks_builds_each_skeleton_and_layer_once(monkeypatch):
         assert len(builds) == 4, name
 
 
+def test_triple_checks_ask_no_layer_for_its_homology(monkeypatch):
+    # A layer C(K^k, K^{k-1}) has zero differential, so its homology is the
+    # free module on the k-cells with its canonical basis: the composite reads
+    # the layers' bases only.
+    asked = []
+    homology_ctx = tl.FreeComplex.homology_ctx
+
+    def recording(self, k):
+        asked.append(self.label)
+        return homology_ctx(self, k)
+
+    monkeypatch.setattr(tl.FreeComplex, "homology_ctx", recording)
+    for name, system in [("rp3", None), ("torus", "torus_ab.sys")]:
+        K = load_complex(name)
+        C = tl.chain_complex(K, tl.constant_system(K, 1, tl.Z) if system is None
+                             else load_system(system, K))
+        asked.clear()
+        assert all(t.ok for t in twisted.triple_checks(C)), name
+        assert asked, name
+        layers = [f"C({name}^{k},{name}^{k - 1})" for k in range(K.dimension + 1)]
+        assert not set(asked) & set(layers), name
+
+
 def test_compare_les_absolute_degenerates():
     K = load_complex("torus")
     P = tl.subcomplex(K, [])
@@ -375,11 +399,12 @@ def test_compare_les_absolute_degenerates():
 
 
 def test_compare_les_fails_when_the_triple_sign_is_wrong(monkeypatch):
-    # The squares and cellular exactness rest on the triple check, so a wrong
-    # calibration must fail all of them, not just the triples.
-    from twistlab import twisted
-
-    monkeypatch.setattr(twisted, "CELLULAR_TRIPLE_SIGN", -1)
+    # The squares and cellular exactness rest on the triple check, so a triple
+    # composite of the wrong sign must fail all of them, not just the triples.
+    # Negating the connecting map flips every composite; in the simplicial
+    # sequence it keeps every image and kernel, so that stays exact.
+    connecting_map = twisted._connecting_map
+    monkeypatch.setattr(twisted, "_connecting_map", lambda *a: connecting_map(*a).neg())
     D = load_complex("disk")
     P = load_subcomplex("disk_boundary.sub", D)
     rep = tl.compare_les(P, tl.constant_system(D, 1, tl.Z), "homology")
@@ -390,8 +415,11 @@ def test_compare_les_fails_when_the_triple_sign_is_wrong(monkeypatch):
     status, text = run_cli(["les", "fixtures/disk.cx", "--sub", "fixtures/disk_boundary.sub"])
     assert status == 1
     lines = text.splitlines()
-    for verdict in ("CELLULAR EXACTNESS FAIL", "SQUARES FAIL", "LES FAIL"):
+    for verdict in ("SIMPLICIAL EXACTNESS OK", "CELLULAR EXACTNESS FAIL", "SQUARES FAIL",
+                    "LES FAIL"):
         assert verdict in lines
+    checks = [line for line in lines if line.startswith(("square ", "cellular boundary "))]
+    assert len(checks) == 10 and all(line.endswith(": FAIL") for line in checks)
 
 
 def test_compare_les_klein_orientation_pair():
