@@ -13,14 +13,13 @@ sys.path.insert(0, "src")
 
 from twistlab import (
     Z,
-    build_complex,
     constant_system,
     chain_complex,
     euler_characteristic,
     is_trivializable,
     orientation_system,
+    parse_complex,
     pseudomanifold_check,
-    validate_complex,
 )
 from twistlab.errors import TwistlabError
 
@@ -91,16 +90,16 @@ def build_candidate(matching):
         for e in range(len(edge_ids))
     }
 
-    entries = []
-    for v in range(len(vids)):
-        entries.append((0, f"p{v}", ()))
-    for e in range(len(edge_ids)):
-        entries.append((1, f"e{e}", (f"p{edge_verts[e][0]}", f"p{edge_verts[e][1]}")))
-    for t in range(4):
-        entries.append((2, f"t{t}", tuple(f"e{i}" for i in tri_edges[t])))
-    for T, nm in ((0, "A"), (1, "B")):
-        entries.append((3, nm, tuple(f"t{i}" for i in tet_faces[T])))
-    return build_complex("rp3", entries)
+    lines = ["complex rp3", "dim 3"]
+    lines += [f"simplex 0 p{v}" for v in range(len(vids))]
+    lines += [f"simplex 1 e{e} p{edge_verts[e][0]} p{edge_verts[e][1]}"
+              for e in range(len(edge_ids))]
+    lines += [f"simplex 2 t{t} " + " ".join(f"e{i}" for i in tri_edges[t]) for t in range(4)]
+    lines += [f"simplex 3 {nm} " + " ".join(f"t{i}" for i in tet_faces[T])
+              for T, nm in ((0, "A"), (1, "B"))]
+    # parse_complex checks the face identities too: a gluing that fails them
+    # raises a TwistlabError.
+    return parse_complex("\n".join(lines) + "\n")
 
 
 def link_euler(K, v):
@@ -123,8 +122,6 @@ def main():
         try:
             K = build_candidate(matching)
         except TwistlabError:
-            continue
-        if not validate_complex(K).ok:
             continue
         rep = pseudomanifold_check(K)
         if not rep.closed_pseudomanifold:

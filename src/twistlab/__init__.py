@@ -5,7 +5,6 @@ from .complexes import (
     ManifoldReport,
     SubcomplexPair,
     ValidationReport,
-    build_complex,
     euler_characteristic,
     parse_complex,
     parse_subcomplex,

@@ -3,12 +3,16 @@
 A k-simplex stores the names of its k+1 faces, face i being the (k-1)-simplex
 opposite vertex e_i.  Repeated-vertex gluings are allowed, so one-vertex
 models of the torus, Klein bottle, etc. are valid inputs.  A complex is a few
-plain tables that `build_complex` fills in one pass; the walks read them directly.
+plain tables that `parse_complex` fills in one pass over the document's lines;
+the checks and walks read them a whole dimension at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import chain
+from operator import itemgetter
 
 from .errors import CapacityError, ParseError, TwistlabError, ValidationError
 
@@ -19,7 +23,7 @@ MAX_SIMPLICES = 100000
 class DeltaComplex:
     """Validated immutable complex; simplex order follows the input order.
 
-    Its tables, built by `build_complex`: name -> face tuple (`_faces`) and ->
+    Its tables, filled by `parse_complex`: name -> face tuple (`_faces`) and ->
     dimension (`_dims`), dimension -> names in input order (`_by_dim`), and
     name -> position within its dimension (`_index`, fixing matrix bases)."""
 
@@ -110,6 +114,15 @@ class DeltaComplex:
                 cur = self._faces[cur][i]
         return cur
 
+    def faces_along(self, names, path: tuple[int, ...]) -> list[str]:
+        """`subset_face` for every one of names, all of one dimension, along
+        the path from `face_path`: one pass over the face table per step."""
+        get = self._faces.__getitem__
+        out = list(names)
+        for i in path:
+            out = list(map(itemgetter(i), map(get, out)))
+        return out
+
     def vertex(self, name: str, m: int) -> str:
         return self.range_face(name, m, m)
 
@@ -136,33 +149,13 @@ class DeltaComplex:
         return out
 
 
-def build_complex(name: str, entries: list[tuple[int, str, tuple[str, ...]]]) -> DeltaComplex:
-    """Check each entry and fill the complex's tables, in one pass; the face
-    identities are left to validate_complex."""
-    faces_of, dims, by_dim, index = {}, {}, {}, {}
-    for dim, nm, faces in entries:
-        if dim < 0:
-            raise ValidationError(f"negative dimension for {nm!r}")
-        if dim > MAX_DIMENSION:
-            raise CapacityError(f"simplex {nm!r} has dimension {dim} > cap {MAX_DIMENSION}")
-        if dim == 0:
-            if faces:
-                raise ValidationError(f"vertex {nm!r} takes no faces")
-        elif len(faces) != dim + 1:
-            raise ValidationError(f"simplex {nm!r} needs {dim + 1} faces")
-        for f in faces:
-            if dims.get(f) != dim - 1:
-                raise ValidationError(f"unknown face {f!r} of simplex {nm!r}")
-        if nm in dims:
-            raise ValidationError(f"duplicate simplex name {nm!r}")
-        dims[nm] = dim
-        faces_of[nm] = tuple(faces)
-        level = by_dim.setdefault(dim, [])
-        index[nm] = len(level)
-        level.append(nm)
-        if len(dims) > MAX_SIMPLICES:
-            raise CapacityError(f"more than {MAX_SIMPLICES} simplices")
-    return DeltaComplex(name, faces_of, dims, {k: tuple(v) for k, v in by_dim.items()}, index)
+@cache
+def face_path(d: int, keep) -> tuple[int, ...]:
+    """The face indices that lead from a d-simplex to its face on the vertex
+    indices in keep (a hashable container), the walk `subset_face` makes:
+    going down, face i of the current face still drops original vertex i.
+    Worked out once per dimension and vertex set."""
+    return tuple(i for i in range(d, -1, -1) if i not in keep)
 
 
 @dataclass
@@ -175,12 +168,23 @@ class ValidationReport:
 
 
 def validate_complex(K: DeltaComplex) -> ValidationReport:
-    """Check the face identities face_i(face_j(s)) = face_{j-1}(face_i(s)), i < j."""
+    """Check the face identities face_i(face_j(s)) = face_{j-1}(face_i(s)), i < j.
+
+    Each dimension is checked in whole-table passes, one per identity; only a
+    dimension where one fails is walked simplex by simplex, to list its
+    violations in order."""
     report = ValidationReport()
     faces = K._faces
+    get = faces.__getitem__
     for k in range(2, K.dimension + 1):
-        for nm in K.simplices(k):
-            # build_complex made every face a (k-1)-simplex with k faces.
+        level = K.simplices(k)
+        # Every face of a k-simplex is a (k-1)-simplex with k faces, so
+        # column j holds the face tuple of face j of each k-simplex.
+        cols = [list(map(get, map(itemgetter(j), map(get, level)))) for j in range(k + 1)]
+        if all(list(map(itemgetter(i), cols[j])) == list(map(itemgetter(j - 1), cols[i]))
+               for j in range(1, k + 1) for i in range(j)):
+            continue
+        for nm in level:
             ff = [faces[f] for f in faces[nm]]
             for j in range(1, k + 1):
                 for i in range(j):
@@ -206,37 +210,40 @@ def _content_lines(text: str):
 
 
 def parse_complex(text: str) -> DeltaComplex:
-    """Parse and fully validate a complex document."""
+    """Parse and fully validate a complex document, in one pass from its lines
+    to its tables.
+
+    A table error (an unknown face, a duplicate name, more than MAX_SIMPLICES
+    simplices) is kept from the first simplex that causes it and raised once
+    every line has parsed, so a syntax error on a later line still wins; the
+    tables stop filling at that simplex."""
     name = None
     declared_dim = None
-    entries = []
     last_dim = 0
-    for lineno, line in _content_lines(text):
-        parts = line.split()
-        if parts[0] == "complex":
-            if len(parts) != 2 or name is not None:
-                raise ParseError("expected a single 'complex <name>' header", lineno)
-            name = parts[1]
-        elif parts[0] == "dim":
-            if len(parts) != 2 or name is None:
-                raise ParseError("'dim <n>' must follow the complex header", lineno)
-            try:
-                declared_dim = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad dimension {parts[1]!r}", lineno) from None
-            if declared_dim > MAX_DIMENSION:
-                raise CapacityError(
-                    f"declared dimension {declared_dim} > cap {MAX_DIMENSION}"
-                )
-        elif parts[0] == "simplex":
+    faces_of: dict[str, tuple[str, ...]] = {}
+    by_dim: dict[int, list[str]] = {}
+    table_error = None
+    level_dim = None
+    k_token = None
+    room = MAX_SIMPLICES
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        parts = raw.split()
+        if not parts:
+            continue
+        if parts[0] == "simplex":
             if name is None or declared_dim is None:
                 raise ParseError("simplex line before headers", lineno)
             if len(parts) < 3:
                 raise ParseError("expected 'simplex <k> <name> <faces...>'", lineno)
-            try:
-                k = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad simplex dimension {parts[1]!r}", lineno) from None
+            if parts[1] != k_token:
+                # Dimensions ascend, so the token rarely changes.
+                try:
+                    k = int(parts[1])
+                except ValueError:
+                    raise ParseError(f"bad simplex dimension {parts[1]!r}", lineno) from None
+                k_token = parts[1]
             nm = parts[2]
             faces = tuple(parts[3:])
             if k > declared_dim:
@@ -252,12 +259,50 @@ def parse_complex(text: str) -> DeltaComplex:
                 )
             if k == 0 and faces:
                 raise ParseError("vertices take no faces", lineno)
-            entries.append((k, nm, faces))
+            if table_error is not None:
+                continue
+            if k != level_dim:
+                # Dimensions ascend, so every (k-1)-simplex is already listed.
+                level_dim = k
+                level = by_dim.setdefault(k, [])
+                below = frozenset(by_dim.get(k - 1, ()))
+            if not below.issuperset(faces):
+                f = next(f for f in faces if f not in below)
+                table_error = ValidationError(f"unknown face {f!r} of simplex {nm!r}")
+            elif nm in faces_of:
+                table_error = ValidationError(f"duplicate simplex name {nm!r}")
+            else:
+                faces_of[nm] = faces
+                level.append(nm)
+                if len(faces_of) > room:
+                    table_error = CapacityError(f"more than {room} simplices")
+        elif parts[0] == "complex":
+            if len(parts) != 2 or name is not None:
+                raise ParseError("expected a single 'complex <name>' header", lineno)
+            name = parts[1]
+        elif parts[0] == "dim":
+            if len(parts) != 2 or name is None:
+                raise ParseError("'dim <n>' must follow the complex header", lineno)
+            try:
+                declared_dim = int(parts[1])
+            except ValueError:
+                raise ParseError(f"bad dimension {parts[1]!r}", lineno) from None
+            if declared_dim > MAX_DIMENSION:
+                raise CapacityError(
+                    f"declared dimension {declared_dim} > cap {MAX_DIMENSION}"
+                )
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
     if name is None:
         raise ParseError("missing 'complex <name>' header")
-    K = build_complex(name, entries)
+    if table_error is not None:
+        raise table_error
+    dims: dict[str, int] = {}
+    index: dict[str, int] = {}
+    for k, level in by_dim.items():
+        dims.update(dict.fromkeys(level, k))
+        index.update(zip(level, range(len(level))))
+    K = DeltaComplex(name, faces_of, dims, {k: tuple(v) for k, v in by_dim.items()}, index)
     report = validate_complex(K)
     if not report.ok:
         raise ValidationError("; ".join(report.violations))
@@ -297,13 +342,19 @@ def subcomplex(K: DeltaComplex, names) -> SubcomplexPair:
 
 
 def parse_subcomplex(text: str, K: DeltaComplex) -> SubcomplexPair:
+    name = None
     names = []
     for lineno, line in _content_lines(text):
         parts = line.split()
         if parts[0] == "sub":
+            if name is not None:
+                raise ParseError("expected a single 'sub <name>' header", lineno)
             if len(parts) != 2:
                 raise ParseError("expected 'sub <name>'", lineno)
+            name = parts[1]
         elif parts[0] == "member":
+            if name is None:
+                raise ParseError("member line before the sub header", lineno)
             if len(parts) != 2:
                 raise ParseError("expected 'member <simplex-name>'", lineno)
             if parts[1] not in K:
@@ -311,6 +362,8 @@ def parse_subcomplex(text: str, K: DeltaComplex) -> SubcomplexPair:
             names.append(parts[1])
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
+    if name is None:
+        raise ParseError("missing 'sub <name>' header")
     return subcomplex(K, names)
 
 
@@ -362,15 +415,13 @@ def _check_pseudomanifold(K: DeltaComplex) -> ManifoldReport:
         return ManifoldReport(n, False, False, False)
     top = K.simplices(n)
 
-    # Purity: every simplex is an iterated face of a top simplex.
+    # Purity: every simplex is an iterated face of a top simplex, that is,
+    # every k-simplex below the top is a face of some (k+1)-simplex.  The faces
+    # of (k+1)-simplices are k-simplices, so counting them is enough.
     faces = K._faces
-    reached = set(top)
-    for k in range(n, 0, -1):
-        for nm in K.simplices(k):
-            if nm in reached:
-                reached.update(faces[nm])
-    # reached holds only simplices of K, so counting it is enough.
-    pure = len(reached) == len(faces)
+    get = faces.__getitem__
+    pure = all(len(set(chain.from_iterable(map(get, K.simplices(k + 1)))))
+               == len(K.simplices(k)) for k in range(n))
 
     # The top simplices on each (n-1)-simplex, once per face slot.
     slots: dict[str, list] = {nm: [] for nm in K.simplices(n - 1)}

@@ -128,6 +128,9 @@ def parse_map(text: str, domain: DeltaComplex, codomain: DeltaComplex) -> Simpli
     for lineno, line in _content_lines(text):
         parts = line.split()
         if parts[0] == "map":
+            if name is not None:
+                raise ParseError("expected a single 'map <name> from <K> to <L>' header",
+                                 lineno)
             if len(parts) != 6 or parts[2] != "from" or parts[4] != "to":
                 raise ParseError("expected 'map <name> from <K> to <L>'", lineno)
             name = parts[1]
@@ -137,6 +140,8 @@ def parse_map(text: str, domain: DeltaComplex, codomain: DeltaComplex) -> Simpli
                     f"the supplied complexes {domain.name!r}->{codomain.name!r}",
                     lineno,
                 )
+        elif name is None and parts[0] in ("send", "collapse"):
+            raise ParseError(f"{parts[0]} line before the map header", lineno)
         elif parts[0] == "send":
             if len(parts) != 3:
                 raise ParseError("expected 'send <simplex> <image>'", lineno)

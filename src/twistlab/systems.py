@@ -10,8 +10,15 @@ makes the twisted boundary and coboundary square to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .complexes import DeltaComplex, _content_lines, _propagate_signs, pseudomanifold_check
+from .complexes import (
+    DeltaComplex,
+    _content_lines,
+    _propagate_signs,
+    face_path,
+    pseudomanifold_check,
+)
 from .errors import ParseError, RingMismatchError, TwistlabError, ValidationError
 from .maps import SimplicialMap
 from .matrices import Matrix, inverse, is_invertible
@@ -63,15 +70,22 @@ class LocalSystem:
                     f"invertible over {self.ring}"
                 )
             invertible.add(key)
-        K = self.base
-        for t in K.simplices(2):
-            f = K.faces(t)
-            lhs = self.transports[f[0]].mul(self.transports[f[2]])
-            rhs = self.transports[f[1]]
-            if lhs != rhs:
+        # A constant or sign system shares one matrix per value, so flatness
+        # is checked once per distinct triple of transport objects; the first
+        # non-flat 2-simplex is still the one named.
+        transports = self.transports
+        faces = self.base._faces
+        flat = set()
+        for t in self.base.simplices(2):
+            t0, t1, t2 = map(transports.__getitem__, faces[t])
+            triple = (id(t0), id(t1), id(t2))
+            if triple in flat:
+                continue
+            if t0.mul(t2) != t1:
                 raise ValidationError(
                     f"system {self.name!r}: flatness fails on 2-simplex {t!r}"
                 )
+            flat.add(triple)
 
     def transport(self, edge: str) -> Matrix:
         try:
@@ -122,6 +136,11 @@ def parse_system(text: str, K: DeltaComplex) -> LocalSystem:
     for lineno, line in _content_lines(text):
         parts = line.split(None, 2)
         if parts[0] == "system":
+            if name is not None:
+                raise ParseError(
+                    "expected a single 'system <name> over <Z|Q|Fp> rank <d>' header",
+                    lineno,
+                )
             fields = line.split()
             if len(fields) != 6 or fields[2] != "over" or fields[4] != "rank":
                 raise ParseError(
@@ -256,9 +275,10 @@ def orientation_system(K: DeltaComplex) -> LocalSystem:
     propagated over the star of each vertex point by `_propagate_signs`,
     rooted at the vertex's first corner and tracked corner by corner
     (simplex, vertex slot) so that self-glued models like the one-vertex torus
-    work, then compared along each edge inside a common top simplex.  One pass
-    over the top simplices collects every vertex's corners and a top simplex
-    spanning every edge; no vertex or edge rescans them.  Flatness
+    work, then compared along each edge inside a common top simplex.  The
+    vertices and edges of every top simplex are read in whole-table passes
+    along face paths worked out once for the top dimension, so no vertex or
+    edge rescans the top simplices.  Flatness
     of the result is asserted, not assumed: it fails exactly when the input is
     not a combinatorial manifold for this star-propagation algorithm.
     """
@@ -270,35 +290,38 @@ def orientation_system(K: DeltaComplex) -> LocalSystem:
             f"got {K.name!r}"
         )
     top = K.simplices(n)
-    cof = K.cofaces(n - 1)
+    width = n + 1
+    position = K._index
 
-    # Corners of a vertex point: (top simplex, vertex slot).  Two corners are
-    # glued when a shared (n-1)-face matches the slots; the comparison sign
-    # says whether the canonical orientations agree across that face.
-    corner_edges: dict[tuple[str, int], list[tuple[tuple[str, int], int]]] = {}
-    for s in top:
-        for m in range(n + 1):
-            corner_edges[(s, m)] = []
-    for (s1, i1), (s2, i2) in cof.values():
+    # Corners of a vertex point: (top simplex, vertex slot), numbered
+    # width * (position of the simplex) + slot.  Two corners are glued when a
+    # shared (n-1)-face matches the slots; the comparison sign says whether
+    # the canonical orientations agree across that face.  The face opposite
+    # slot i keeps the slots other than i, in order.
+    kept = [[m for m in range(width) if m != i] for i in range(width)]
+    corner_edges: list[list[tuple[int, int]]] = [[] for _ in range(width * len(top))]
+    for (s1, i1), (s2, i2) in K.cofaces(n - 1).values():
         sign = _signed_coface_key(i1, i2)
-        for mf in range(n):
-            c1 = (s1, mf + 1 if i1 <= mf else mf)
-            c2 = (s2, mf + 1 if i2 <= mf else mf)
-            corner_edges[c1].append((c2, sign))
-            corner_edges[c2].append((c1, sign))
+        b1, b2 = width * position[s1], width * position[s2]
+        for m1, m2 in zip(kept[i1], kept[i2]):
+            corner_edges[b1 + m1].append((b2 + m2, sign))
+            corner_edges[b2 + m2].append((b1 + m1, sign))
 
-    # Buckets fill s-major, m-minor: corners[0] roots each vertex's sign
+    # Corners fill s-major, m-minor: corners[0] roots each vertex's sign
     # propagation, so that order fixes the printed signs.
-    corners_at: dict[str, list[tuple[str, int]]] = {v: [] for v in K.simplices(0)}
-    spanning: dict[str, tuple[str, int, int]] = {}
-    for s in top:
-        for m, v in enumerate(K.vertices(s)):
-            corners_at[v].append((s, m))
-        for a in range(n + 1):
-            for b in range(a + 1, n + 1):
-                spanning.setdefault(K.subset_face(s, (a, b)), (s, a, b))
+    vertex_cols = [K.faces_along(top, face_path(n, (m,))) for m in range(width)]
+    corners_at: dict[str, list[int]] = {v: [] for v in K.simplices(0)}
+    for c, v in enumerate(chain.from_iterable(zip(*vertex_cols))):
+        corners_at[v].append(c)
+    # The first (top simplex, slot pair) spanning each edge, in the same
+    # order, numbered len(pairs) * (position of the simplex) + pair.
+    pairs = [(a, b) for a in range(width) for b in range(a + 1, width)]
+    edge_cols = [K.faces_along(top, face_path(n, pair)) for pair in pairs]
+    spanning: dict[str, int] = {}
+    for j, e in enumerate(chain.from_iterable(zip(*edge_cols))):
+        spanning.setdefault(e, j)
 
-    corner_sign: dict[tuple[str, int], int] = {}
+    corner_sign: dict[int, int] = {}
     for v, corners in corners_at.items():
         if not corners:
             raise ValidationError(f"vertex {v!r} lies in no top simplex")
@@ -320,9 +343,9 @@ def orientation_system(K: DeltaComplex) -> LocalSystem:
     for e in K.simplices(1):
         if e not in spanning:
             raise ValidationError(f"edge {e!r} lies in no top simplex")
-        s, a, b = spanning[e]
-        val = corner_sign[(s, a)] * corner_sign[(s, b)]
-        transports[e] = sign[val]
+        si, p = divmod(spanning[e], len(pairs))
+        a, b = pairs[p]
+        transports[e] = sign[corner_sign[width * si + a] * corner_sign[width * si + b]]
     try:
         return LocalSystem(f"w({K.name})", K, Z, 1, transports)
     except ValidationError:

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 import twistlab as tl
+from twistlab import complexes
+from twistlab.errors import CapacityError, ValidationError
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -68,7 +70,39 @@ def subcomplex_as_complex(P: tl.SubcomplexPair, new_name: str) -> tl.DeltaComple
     entries = [
         (K.dim_of(nm), nm, K.faces(nm)) for nm in K.all_simplices() if nm in members
     ]
-    return tl.build_complex(new_name, entries)
+    return build_complex(new_name, entries)
+
+
+def build_complex(name: str, entries) -> tl.DeltaComplex:
+    """A complex from (dimension, name, faces) entries, each checked for its
+    dimension, face count, faces and name, with the face identities left
+    unchecked: how tests build a complex that fails them."""
+    faces_of, dims, by_dim, index = {}, {}, {}, {}
+    for dim, nm, faces in entries:
+        if dim < 0:
+            raise ValidationError(f"negative dimension for {nm!r}")
+        if dim > complexes.MAX_DIMENSION:
+            raise CapacityError(
+                f"simplex {nm!r} has dimension {dim} > cap {complexes.MAX_DIMENSION}")
+        if dim == 0:
+            if faces:
+                raise ValidationError(f"vertex {nm!r} takes no faces")
+        elif len(faces) != dim + 1:
+            raise ValidationError(f"simplex {nm!r} needs {dim + 1} faces")
+        for f in faces:
+            if dims.get(f) != dim - 1:
+                raise ValidationError(f"unknown face {f!r} of simplex {nm!r}")
+        if nm in dims:
+            raise ValidationError(f"duplicate simplex name {nm!r}")
+        dims[nm] = dim
+        faces_of[nm] = tuple(faces)
+        level = by_dim.setdefault(dim, [])
+        index[nm] = len(level)
+        level.append(nm)
+        if len(dims) > complexes.MAX_SIMPLICES:
+            raise CapacityError(f"more than {complexes.MAX_SIMPLICES} simplices")
+    return tl.DeltaComplex(name, faces_of, dims, {k: tuple(v) for k, v in by_dim.items()},
+                           index)
 
 
 def sign_systems_of(name: str) -> list:

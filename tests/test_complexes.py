@@ -10,7 +10,9 @@ from twistlab.errors import CapacityError, ParseError, TwistlabError, Validation
 
 from conftest import (
     ALL_COMPLEXES,
+    FIXTURES,
     MANIFOLDS,
+    build_complex,
     fixture_text,
     load_complex,
     skeleton_pair,
@@ -105,7 +107,10 @@ def test_subset_face_rejects_bad_vertex_indices(keep):
 
 def test_build_complex_says_a_vertex_takes_no_faces():
     with pytest.raises(ValidationError, match="vertex 'v' takes no faces"):
-        tl.build_complex("x", [(0, "v", ("w",))])
+        build_complex("x", [(0, "v", ("w",))])
+    # parse_complex stops at the line instead.
+    with pytest.raises(ParseError, match="line 4: vertices take no faces"):
+        tl.parse_complex("complex x\ndim 0\nsimplex 0 w\nsimplex 0 v w\n")
 
 
 def test_dimension_cap():
@@ -132,6 +137,17 @@ def test_subcomplex_empty_and_unknown():
         tl.subcomplex(K, ["nope"])
     P = tl.subcomplex(K, ["a"])
     assert set(P.members) == {"a", "v"}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("member v\n", "line 1: member line before the sub header"),
+    ("sub a\nmember v\nsub b\n", "line 3: expected a single 'sub <name>' header"),
+    ("# nothing\n", "missing 'sub <name>' header"),
+], ids=["no_header", "second_header", "empty"])
+def test_a_subcomplex_takes_exactly_one_header_first(text, message):
+    with pytest.raises(ParseError) as got:
+        tl.parse_subcomplex(text, load_complex("torus"))
+    assert str(got.value) == message
 
 
 def test_face_closedness_always():
@@ -198,7 +214,7 @@ def test_validate_report_names_offending_simplex():
         (1, "e3", ("z", "y")),
         (2, "T", ("e1", "e2", "e3")),
     ]
-    K = tl.build_complex("bad", entries)
+    K = build_complex("bad", entries)
     report = tl.validate_complex(K)
     assert not report.ok
     assert all("'T'" in v for v in report.violations)
@@ -456,7 +472,7 @@ def test_face_tables_match_the_simplex_reference(text):
     K = tl.parse_complex(text)
     R = ref_parse_complex(text)
     assert_same_tables(K, R)
-    assert_same_tables(tl.build_complex(K.name, entries_of(text)),
+    assert_same_tables(build_complex(K.name, entries_of(text)),
                        ref_build_complex(R.name, entries_of(text)))
 
 
@@ -464,7 +480,7 @@ def test_face_identity_violations_match_the_reference_on_built_complexes():
     # build_complex leaves the identities to validate_complex, so a broken
     # gluing builds, and both checks must list the same violations in order.
     for text in [fixture_text("broken.cx"), (MALFORMED / "face_identities.cx").read_text()]:
-        K = tl.build_complex("b", entries_of(text))
+        K = build_complex("b", entries_of(text))
         R = ref_build_complex("b", entries_of(text))
         assert tl.validate_complex(K).violations == ref_violations(R) != []
         assert_same_tables(K, R)
@@ -478,7 +494,7 @@ def test_same_complex_agrees_with_the_reference():
     # The same names with one triangle's faces permuted: a different complex.
     swapped = [(d, nm, tuple(reversed(f)) if nm == "U" else f) for d, nm, f in torus]
     for entries in (torus, swapped):
-        built.append((tl.build_complex("torus", entries), ref_build_complex("torus", entries)))
+        built.append((build_complex("torus", entries), ref_build_complex("torus", entries)))
     verdicts = set()
     for K1, R1 in built:
         for K2, R2 in built:
@@ -501,21 +517,114 @@ def test_malformed_documents_fail_like_the_reference(path):
         assert_same_tables(tl.parse_complex(text), ref)
 
 
-@pytest.mark.parametrize("entries", [
-    [(-1, "v", ())],
-    [(9, "v", ())],
-    [(0, "v", ()), (1, "a", ("v",))],
-    [(0, "v", ()), (1, "a", ("v", "q"))],
-    [(0, "v", ()), (1, "a", ("v", "v")), (2, "T", ("a", "a", "v"))],
-    [(0, "v", ()), (0, "v", ())],
-    [(0, "v", ()), (1, "a", ("v", "v")), (1, "a", ("v", "v"))],
-    [(0, "v", ()), (1, "a", ("v", "v")), (0, "w", ()), (0, "x", ())],
+def document(entries, name="x"):
+    """The .cx text of (dimension, name, faces) entries, declaring their
+    largest dimension (at least 0)."""
+    top = max([0] + [d for d, _, _ in entries])
+    lines = [f"complex {name}", f"dim {top}"]
+    lines += [" ".join(["simplex", str(d), nm, *faces]) for d, nm, faces in entries]
+    return "\n".join(lines) + "\n"
+
+
+# The errors the complex's tables raise, each from the document of its entries.
+# parse_complex raises the ones a simplex line can reach in its tables (an
+# unknown face, a duplicate name, more than MAX_SIMPLICES simplices); a
+# negative or too large dimension and a wrong face count stop at a line first.
+@pytest.mark.parametrize("entries, message", [
+    ([(-1, "v", ())], "line 3: simplices must appear in ascending dimension"),
+    ([(9, "v", ())], "declared dimension 9 > cap 8"),
+    ([(0, "v", ()), (1, "a", ("v",))], "line 4: simplex 'a' of dimension 1 needs 2 faces"),
+    ([(0, "v", ()), (1, "a", ("v", "q"))], "unknown face 'q' of simplex 'a'"),
+    ([(0, "v", ()), (1, "a", ("v", "v")), (2, "T", ("a", "a", "v"))],
+     "unknown face 'v' of simplex 'T'"),
+    ([(0, "v", ()), (0, "v", ())], "duplicate simplex name 'v'"),
+    ([(0, "v", ()), (1, "a", ("v", "v")), (1, "a", ("v", "v"))],
+     "duplicate simplex name 'a'"),
+    ([(0, "v", ()), (0, "w", ()), (1, "a", ("v", "v")), (1, "b", ("w", "w"))],
+     "more than 3 simplices"),
 ], ids=["negative", "dimension_cap", "face_count", "unknown_face", "face_dimension",
         "duplicate_vertex", "duplicate_edge", "capacity"])
-def test_build_errors_match_the_reference(entries, monkeypatch):
+def test_build_errors_match_the_reference(entries, message, monkeypatch):
     monkeypatch.setattr(complexes, "MAX_SIMPLICES", 3)
+    text = document(entries)
     with pytest.raises(TwistlabError) as ref:
-        ref_build_complex("x", entries)
+        ref_parse_complex(text)
     with pytest.raises(type(ref.value)) as got:
-        tl.build_complex("x", entries)
-    assert str(got.value) == str(ref.value)
+        tl.parse_complex(text)
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value) == message
+
+
+# -- differential mutation test: parse_complex against ref_parse_complex -------
+
+
+def _mutant(lines, rng):
+    """lines with one seeded single-line change."""
+    out = list(lines)
+    simplex_at = [i for i, line in enumerate(out) if line.split()[:1] == ["simplex"]]
+    names = [out[i].split()[2] for i in simplex_at if len(out[i].split()) > 2]
+    op = rng.randrange(8)
+    i = rng.randrange(len(out)) if out else 0
+    if op == 0 and out:
+        del out[i]
+    elif op == 1 and out:
+        out.insert(i, out[i])
+    elif op == 2 and len(out) > 1:
+        j = rng.randrange(len(out))
+        out[i], out[j] = out[j], out[i]
+    elif op == 3 and out:
+        # Change a dimension: a simplex's, or the declared one.
+        dims = simplex_at + [j for j, line in enumerate(out) if line.startswith("dim")]
+        if dims:
+            j = rng.choice(dims)
+            parts = out[j].split()
+            if len(parts) > 1:
+                parts[1] = rng.choice(["0", "1", "2", "3", "-1", "9", "x"])
+                out[j] = " ".join(parts)
+    elif op == 4 and simplex_at:
+        # Rename a face: to another simplex (maybe of the wrong dimension) or to
+        # a name that no simplex has.
+        j = rng.choice(simplex_at)
+        parts = out[j].split()
+        if len(parts) > 3:
+            parts[rng.randrange(3, len(parts))] = rng.choice(names + ["q"])
+            out[j] = " ".join(parts)
+    elif op == 5 and out:
+        out[i] += " " + rng.choice(["extra", "v", "0"])
+    elif op == 6:
+        out.insert(i, rng.choice(["# a comment", "   # indented comment"]))
+        if out[-1:] and rng.randrange(2):
+            out[-1] += "  # trailing comment"
+    else:
+        out.insert(i, rng.choice(["", "   ", "\t"]))
+    return "\n".join(out) + "\n"
+
+
+def assert_parses_like_the_reference(text):
+    try:
+        ref = ref_parse_complex(text)
+    except TwistlabError as exc:
+        with pytest.raises(TwistlabError) as got:
+            tl.parse_complex(text)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        assert_same_tables(tl.parse_complex(text), ref)
+
+
+def _mutation_inputs():
+    for path in sorted(FIXTURES.glob("*.cx")) + sorted(MALFORMED.glob("*.cx")):
+        yield path.name, path.read_text()
+    yield from _bench_texts()
+
+
+@pytest.mark.parametrize("text", [pytest.param(t, id=label) for label, t in _mutation_inputs()])
+def test_parse_complex_matches_the_reference_under_mutation(text, monkeypatch):
+    rng = random.Random(f"mutants/{text}")
+    lines = text.splitlines()
+    count = sum(line.split()[:1] == ["simplex"] for line in lines)
+    full = complexes.MAX_SIMPLICES
+    for m in range(24):
+        # Every fourth mutant runs one simplex short of the capacity cap.
+        cap = max(1, count - 1) if m % 4 == 3 else full
+        monkeypatch.setattr(complexes, "MAX_SIMPLICES", cap)
+        assert_parses_like_the_reference(_mutant(lines, rng))

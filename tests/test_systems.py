@@ -16,6 +16,7 @@ from conftest import (
     random_gauge,
     sign_systems_of,
 )
+from inputs import klein_bottle, kuhn_torus
 
 
 def test_parse_minus1():
@@ -43,6 +44,34 @@ def test_noninvertible_transport_names_edge():
     K = load_complex("circle1")
     with pytest.raises(ValidationError, match="edge 'a'"):
         tl.parse_system("system bad over Z rank 1\nedge a [[2]]\n", K)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("system a over Z rank 1\nsystem b over Q rank 1\nedge a [[1]]\n",
+     "line 2: expected a single 'system <name> over <Z|Q|Fp> rank <d>' header"),
+    ("system a over Z rank 1\nedge a [[1]]\nsystem b over Z rank 2\nedge b [[1,0];[0,1]]\n",
+     "line 3: expected a single 'system <name> over <Z|Q|Fp> rank <d>' header"),
+    ("edge a [[1]]\nsystem a over Z rank 1\n", "line 1: edge line before the system header"),
+], ids=["second_header", "header_after_edges", "edge_before_header"])
+def test_a_system_takes_exactly_one_header_first(text, message):
+    with pytest.raises(ParseError) as got:
+        tl.parse_system(text, load_complex("torus"))
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("map wrap from circle3 to circle1\nmap other from circle3 to circle1\n",
+     "line 2: expected a single 'map <name> from <K> to <L>' header"),
+    ("map wrap from circle3 to circle1\nsend v1 v\nmap wrap from circle3 to circle1\n",
+     "line 3: expected a single 'map <name> from <K> to <L>' header"),
+    ("send v1 v\nmap wrap from circle3 to circle1\n", "line 1: send line before the map header"),
+    ("collapse a v 00\nmap wrap from circle3 to circle1\n",
+     "line 1: collapse line before the map header"),
+], ids=["second_header", "repeated_header", "send_before_header", "collapse_before_header"])
+def test_a_map_takes_exactly_one_header_first(text, message):
+    with pytest.raises(ParseError) as got:
+        tl.parse_map(text, load_complex("circle3"), load_complex("circle1"))
+    assert str(got.value) == message
 
 
 def test_unknown_edge():
@@ -514,3 +543,53 @@ def test_sign_propagation_matches_the_reference_loops():
         assert _class_or_error(tl.fundamental_class, K, G) == _class_or_error(
             reference_fundamental_class, K, G
         ), where
+
+
+# -- flatness is checked once per distinct triple of transports --------------
+
+
+def _count_products(monkeypatch):
+    calls = []
+    mul = tl.Matrix.mul
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(tl.Matrix, "mul", counting)
+    return calls
+
+
+def test_a_constant_system_checks_flatness_once(monkeypatch):
+    K = tl.parse_complex(kuhn_torus(24, 2).text())
+    calls = _count_products(monkeypatch)
+    tl.constant_system(K, 1, tl.Z)
+    # One triple of transports, (I, I, I), over all 1152 triangles.
+    assert (len(K.simplices(2)), len(calls)) == (1152, 1)
+
+
+def test_an_orientation_system_checks_at_most_eight_triples(monkeypatch):
+    K = tl.parse_complex(klein_bottle(12, 12).text())
+    calls = _count_products(monkeypatch)
+    w = tl.orientation_system(K)
+    assert not tl.is_trivializable(w)[0]
+    assert 1 <= len(calls) <= 8
+
+
+def test_the_first_non_flat_triangle_is_named_after_flat_ones(monkeypatch):
+    # A fan of four triangles T_i = [c, p_i, p_{i+1}].  Only T3 has the edge
+    # c -> p4 (its face 1), so -1 there and the shared identity elsewhere
+    # leave T0..T2 flat and T3, whose triple differs from theirs in face 1
+    # alone, not flat.
+    text = ("complex fan\ndim 2\nsimplex 0 c\n"
+            + "".join(f"simplex 0 p{i}\n" for i in range(5))
+            + "".join(f"simplex 1 s{i} p{i} c\n" for i in range(5))
+            + "".join(f"simplex 1 r{i} p{i + 1} p{i}\n" for i in range(4))
+            + "".join(f"simplex 2 T{i} r{i} s{i + 1} s{i}\n" for i in range(4)))
+    K = tl.parse_complex(text)
+    minus = tl.Matrix.from_int_rows(tl.Z, [[-1]])
+    calls = _count_products(monkeypatch)
+    with pytest.raises(ValidationError) as got:
+        tl.LocalSystem("s", K, tl.Z, 1, {"s4": minus})
+    assert str(got.value) == "system 's': flatness fails on 2-simplex 'T3'"
+    assert len(calls) == 2
