@@ -244,12 +244,12 @@ def presentation_of_quotient(diff_snf: SNF, boundaries: Matrix):
     generators are the cycles times U'^-1 from the SNF of Y."""
     ring = diff_snf.D.ring
     r = diff_snf.rank
-    ambient = diff_snf.V.nrows
-    cycles = diff_snf.V.select_cols(range(r, ambient))
-    z = cycles.ncols
+    ambient = diff_snf.D.ncols
+    z = ambient - r
     if z == 0:
         pres = zero_presentation(ring, ambient)
         return pres, _QuotientContext(diff_snf.Vinv, r, Matrix.identity(ring, 0), [], [])
+    cycles = diff_snf.V.select_cols(range(r, ambient))
     coords = diff_snf.Vinv.mul(boundaries)
     if not coords.select_rows(range(r)).is_zero():
         raise TwistlabError("boundaries do not lie in the cycle module")
@@ -257,7 +257,7 @@ def presentation_of_quotient(diff_snf: SNF, boundaries: Matrix):
     orders = snf.diagonal[:snf.rank] + [ring.zero()] * (z - snf.rank)
     kept = [i for i in range(z) if orders[i] != 1]
     invariants = tuple(orders[i] for i in kept if orders[i])
-    reps = cycles.mul(snf.Uinv).select_cols(kept)
+    reps = cycles.mul(snf.Uinv.select_cols(kept))
     pres = ModulePresentation(ring, len(kept) - len(invariants), invariants, ambient, reps)
     return pres, _QuotientContext(diff_snf.Vinv, r, snf.U, orders, kept)
 

@@ -145,16 +145,14 @@ def parse_map(text: str, domain: DeltaComplex, codomain: DeltaComplex) -> Simpli
         elif parts[0] == "send":
             if len(parts) != 3:
                 raise ParseError("expected 'send <simplex> <image>'", lineno)
-            if parts[1] not in domain:
-                raise ParseError(f"unknown simplex {parts[1]!r}", lineno)
+            _require_unassigned(parts[1], domain, assignments, lineno)
             assignments[parts[1]] = Assignment(parts[2], None)
         elif parts[0] == "collapse":
             if len(parts) != 4:
                 raise ParseError(
                     "expected 'collapse <simplex> <image> <digits>'", lineno
                 )
-            if parts[1] not in domain:
-                raise ParseError(f"unknown simplex {parts[1]!r}", lineno)
+            _require_unassigned(parts[1], domain, assignments, lineno)
             if not parts[3].isdigit():
                 raise ParseError(f"bad surjection digits {parts[3]!r}", lineno)
             digits = tuple(int(c) for c in parts[3])
@@ -164,3 +162,10 @@ def parse_map(text: str, domain: DeltaComplex, codomain: DeltaComplex) -> Simpli
     if name is None:
         raise ParseError("missing 'map' header")
     return SimplicialMap(name, domain, codomain, assignments)
+
+
+def _require_unassigned(nm, domain, assignments, lineno):
+    if nm not in domain:
+        raise ParseError(f"unknown simplex {nm!r}", lineno)
+    if nm in assignments:
+        raise ParseError(f"duplicate assignment of {nm!r}", lineno)

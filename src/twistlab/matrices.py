@@ -6,20 +6,23 @@ divide with remainder and which unit normalizes a pivot (see `Ring`).  Over
 the integers it keeps unimodular transform matrices, so kernels, solutions
 of linear systems, and quotient presentations are exact; over a field every
 nonzero entry is a unit, every remainder is zero, and the same code is
-Gaussian elimination.  `smith_normal_form` returns the diagonal with both
-transforms and their inverses.  `smith_diagonal` returns only the diagonal
-and the rank: it first eliminates unit pivots, picked by a Markowitz-style
-rule (Dumas, Saunders and Villard, JSC 2001), then runs the same elimination,
-without transforms, on the remainder.  The Smith form is unique, so both
-give the same diagonal.
+Gaussian elimination.  `smith_normal_form` returns the diagonal and the
+logs of the elimination's row and column operations, and builds each
+transform or inverse from its log the first time it is read: as in Dumas,
+Saunders and Villard (JSC 2001), transforms are computed only where they
+are needed.  `smith_diagonal` returns only the diagonal and the rank: it
+first eliminates unit pivots, picked by a Markowitz-style rule (ibid.),
+then runs the same elimination, without transforms, on the remainder.  The
+Smith form is unique, so both give the same diagonal.
 
 Storage is sparse, as the matrices that arise are: a boundary matrix of a
 rank-d local system has at most (k+1)*d^2 nonzeros per column.  Row i is the
 dict `entries[i]` from column to nonzero entry, and no dict holds a zero, so
 products, sums, transposes and blocks cost time in the nonzeros.  The
 elimination changes only the entries an operation reaches, deleting those
-that cancel, and keeps V transposed, so that every operation on a transform
-is a row operation.  Its pivots and operations are those of a dense sweep.
+that cancel, and a replayed log builds V transposed and U^-1 transposed, so
+that every operation on a transform is a row operation.  Its pivots and
+operations are those of a dense sweep.
 
 Entries are canonical ring elements (see `Ring`), so an entry is zero
 exactly when it is falsy, and zero tests here read `not a` instead of
@@ -30,7 +33,7 @@ rows; the engine builds from row dicts with `Matrix.sparse`, unchecked.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CapacityError, RingMismatchError, TwistlabError
 from .rings import Ring, Z
@@ -256,17 +259,41 @@ def _transpose(rows, ncols):
 # -- Smith normal form -----------------------------------------------
 
 
-@dataclass
 class SNF:
     """U * A * V = D with U, V invertible and D diagonal (divisibility chain
-    over Z); Uinv and Vinv are the inverses of U and V."""
+    over Z); Uinv and Vinv are the inverses of U and V.
 
-    U: Matrix
-    D: Matrix
-    V: Matrix
-    Uinv: Matrix
-    Vinv: Matrix
-    rank: int
+    The elimination leaves D, the rank and two logs of its elementary
+    operations, one for the rows and one for the columns.  Each transform is
+    built from its log the first time it is read and kept: U and U^-1 replay
+    the row log, V and V^-1 the column log (see `_replay`).  A caller pays
+    only for the transforms it reads; building one twice gives the same
+    matrix, so a concurrent first read is safe.
+    """
+
+    def __init__(self, D: Matrix, rank: int, row_ops: list, col_ops: list):
+        self.D, self.rank = D, rank
+        self._row_ops, self._col_ops = row_ops, col_ops
+
+    @cached_property
+    def U(self) -> Matrix:
+        rg, m = self.D.ring, self.D.nrows
+        return Matrix.sparse(rg, _replay(rg, self._row_ops, m, False), m)
+
+    @cached_property
+    def Uinv(self) -> Matrix:
+        rg, m = self.D.ring, self.D.nrows
+        return Matrix.sparse(rg, _transpose(_replay(rg, self._row_ops, m, True), m), m)
+
+    @cached_property
+    def V(self) -> Matrix:
+        rg, n = self.D.ring, self.D.ncols
+        return Matrix.sparse(rg, _transpose(_replay(rg, self._col_ops, n, False), n), n)
+
+    @cached_property
+    def Vinv(self) -> Matrix:
+        rg, n = self.D.ring, self.D.ncols
+        return Matrix.sparse(rg, _replay(rg, self._col_ops, n, True), n)
 
     @property
     def diagonal(self):
@@ -288,6 +315,29 @@ class SNF:
                     return None
                 Y[i][j] = q
         return self.V.mul(Matrix.sparse(rg, Y, B.ncols))
+
+
+def _replay(rg, ops, n, inverse):
+    """The rows of the n x n transform that the logged operations `ops` make
+    from the identity, or with `inverse` the rows of the transpose of its
+    inverse.  An entry (a, b, q) is a swap of rows a and b when q is None, a
+    scaling of row a by the unit q when b is None, and rows[a] -= q * rows[b]
+    otherwise.  The inverse of each, applied in the same order to the
+    transpose, is the same swap, the scaling by q^-1 and rows[b] += q *
+    rows[a]."""
+    rows = _identity_rows(rg, n)
+    mul, zero = rg.mul, rg.zero()
+    op = rg.add if inverse else rg.sub
+    for a, b, q in ops:
+        if q is None:
+            rows[a], rows[b] = rows[b], rows[a]
+        elif b is None:
+            _scale(rows[a], rg.inv(q) if inverse else q, mul)
+        elif inverse:
+            _add_multiple(rows[b], rows[a], q, op, mul, zero)
+        else:
+            _add_multiple(rows[a], rows[b], q, op, mul, zero)
+    return rows
 
 
 def _find_pivot(rows, t, size):
@@ -326,11 +376,11 @@ def _scale(row, c, mul):
         row[j] = mul(c, y)
 
 
-def _move_pivot(D, T, t, pi, pj):
-    """Swap the pivot at (pi, pj) to (t, t) in D and, when T holds the
-    transforms (U, Ut = (U^-1)^T, Vt = V^T, Vi = V^-1), in them too.  Rows
-    above t hold no column from t on, so only the rows from t can hold the
-    two columns swapped."""
+def _move_pivot(D, logs, t, pi, pj):
+    """Swap the pivot at (pi, pj) to (t, t) in D and, when `logs` holds the
+    row and column logs, log the swaps that move anything.  Rows above t
+    hold no column from t on, so only the rows from t can hold the two
+    columns swapped."""
     D[t], D[pi] = D[pi], D[t]
     if pj != t:
         for i in range(t, len(D)):
@@ -340,10 +390,11 @@ def _move_pivot(D, T, t, pi, pj):
                 row[t] = b
             if a is not None:
                 row[pj] = a
-    if T:
-        U, Ut, Vt, Vi = T
-        U[t], U[pi], Ut[t], Ut[pi] = U[pi], U[t], Ut[pi], Ut[t]
-        Vt[t], Vt[pj], Vi[t], Vi[pj] = Vt[pj], Vt[t], Vi[pj], Vi[t]
+    if logs:
+        if pi != t:
+            logs[0].append((t, pi, None))
+        if pj != t:
+            logs[1].append((t, pj, None))
 
 
 def _identity_rows(rg, n):
@@ -369,21 +420,15 @@ def smith_normal_form(A: Matrix) -> SNF:
     diagonal satisfies d_1 | d_2 | ... with d_i > 0.  Over fields the
     diagonal is 1,...,1,0,...  Output is deterministic for a fixed input.
 
-    Each row operation on U is the inverse column operation on U^-1, kept
-    transposed so that it is a row operation too; each column operation on V
-    is a row operation on V^T, kept in its place, and the inverse row
-    operation on V^-1.
+    The elimination logs its row and column operations instead of building
+    the transforms; `SNF` builds each from its log when it is first read.
     """
     m, n = A.nrows, A.ncols
     _check_capacity(m, n, m * n + 2 * m * m + 2 * n * n)
-    rg = A.ring
     D = [dict(row) for row in A.entries]
-    U, Ut = _identity_rows(rg, m), _identity_rows(rg, m)
-    Vt, Vi = _identity_rows(rg, n), _identity_rows(rg, n)
-    rank = _eliminate(D, (U, Ut, Vt, Vi), rg)
-    S = Matrix.sparse
-    return SNF(S(rg, U, m), S(rg, D, n), S(rg, _transpose(Vt, n), n),
-               S(rg, _transpose(Ut, m), m), S(rg, Vi, n), rank)
+    logs = ([], [])
+    rank = _eliminate(D, logs, A.ring)
+    return SNF(Matrix.sparse(A.ring, D, n), rank, *logs)
 
 
 def smith_diagonal(A: Matrix) -> tuple[list, int]:
@@ -458,9 +503,10 @@ def smith_diagonal(A: Matrix) -> tuple[list, int]:
     return diag + [rg.zero()] * (min(m, n) - len(diag)), units + rank
 
 
-def _eliminate(D, T, rg):
-    """Diagonalize the row dicts D in place and return the rank; T is the
-    tuple (U, Ut, Vt, Vi) of transforms to update alongside, or None.
+def _eliminate(D, logs, rg):
+    """Diagonalize the row dicts D in place and return the rank; `logs` is
+    the pair of lists the row and column operations are appended to (see
+    `_replay`), or None.
 
     Rows above t and columns left of t are already zero in column t and row
     t, as every earlier pivot's row and column were cleared, so each sweep
@@ -471,22 +517,21 @@ def _eliminate(D, T, rg):
     quotient is the entry.  A nonzero remainder, which only Z leaves, is
     smaller than the pivot and is picked as the next one.
     """
-    U, Ut, Vt, Vi = T or (None,) * 4
+    rlog, clog = logs or (None, None)
     add, sub, mul, size, quo = rg.add, rg.sub, rg.mul, rg.size, rg.divmod
     zero, m, t = rg.zero(), len(D), 0
     while True:
         piv = _find_pivot(D, t, size)
         if piv is None:
             break
-        _move_pivot(D, T, t, *piv)
+        _move_pivot(D, logs, t, *piv)
         while True:
             top = D[t]
             u = rg.normalizer(top[t])
             if u != 1:
                 _scale(top, u, mul)
-                if T:
-                    _scale(U[t], u, mul)
-                    _scale(Ut[t], rg.inv(u), mul)
+                if logs:
+                    rlog.append((t, None, u))
             d = top[t]
             drows = [top]
             for i in range(t + 1, m):
@@ -495,9 +540,8 @@ def _eliminate(D, T, rg):
                     q = a if d == 1 else quo(a, d)[0]
                     if q:
                         _add_multiple(D[i], top, q, sub, mul, zero)
-                        if T:
-                            _add_multiple(U[i], U[t], q, sub, mul, zero)
-                            _add_multiple(Ut[t], Ut[i], q, add, mul, zero)
+                        if logs:
+                            rlog.append((i, t, q))
                     if t in D[i]:
                         drows.append(D[i])
             dirty = len(drows) > 1
@@ -510,13 +554,12 @@ def _eliminate(D, T, rg):
                             row[j] = x
                         else:
                             del row[j]
-                    if T:
-                        _add_multiple(Vt[j], Vt[t], q, sub, mul, zero)
-                        _add_multiple(Vi[t], Vi[j], q, add, mul, zero)
+                    if logs:
+                        clog.append((j, t, q))
                 if j in top:
                     dirty = True
             if dirty:
-                _move_pivot(D, T, t, *_find_pivot(D, t, size))
+                _move_pivot(D, logs, t, *_find_pivot(D, t, size))
                 continue
             # Row and column are clear; enforce divisibility into the rest,
             # which a unit pivot has already.
@@ -528,11 +571,9 @@ def _eliminate(D, T, rg):
             )
             if offender is None:
                 break
-            one = rg.one()
-            _add_multiple(top, D[offender], one, add, mul, zero)
-            if T:
-                _add_multiple(U[t], U[offender], one, add, mul, zero)
-                _add_multiple(Ut[offender], Ut[t], one, sub, mul, zero)
+            _add_multiple(top, D[offender], rg.one(), add, mul, zero)
+            if logs:
+                rlog.append((t, offender, rg.neg(rg.one())))
         t += 1
     return t
 

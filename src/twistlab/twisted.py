@@ -67,9 +67,10 @@ class TwistedComplex(FreeComplex):
 
 def _diffs(K, G, basis_names, direction):
     """Differentials keyed by source degree.  Each k-simplex s (k >= 1) is
-    visited once: a chain complex gets the block at (face i, s), T for i = 0
-    and (-1)^i I otherwise; a cochain complex gets the block at (s, face i)
-    of the degree k-1 coboundary, (-1)^(k-1) times T^-1 or (-1)^i I."""
+    visited once, unless no (k-1)-simplex is in the basis: a chain complex
+    gets the block at (face i, s), T for i = 0 and (-1)^i I otherwise; a
+    cochain complex gets the block at (s, face i) of the degree k-1
+    coboundary, (-1)^(k-1) times T^-1 or (-1)^i I."""
     ring = G.ring
     d = G.rank
     cochain = direction == "cochain"
@@ -85,7 +86,8 @@ def _diffs(K, G, basis_names, direction):
         nf, ns = len(face_names) * d, len(names) * d
         rows = [{} for _ in range(ns if cochain else nf)]
         flip = cochain and k % 2 == 0
-        for sj, nm in enumerate(names):
+        # Every layer C(K^k, K^{k-1}) keeps no face of its degree-k simplices.
+        for sj, nm in enumerate(names if face_names else ()):
             edge = K.front_edge(nm)
             T = G.transport_inverse(edge) if cochain else G.transport(edge)
             for i, f in enumerate(K.faces(nm)):

@@ -1,5 +1,7 @@
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -407,6 +409,96 @@ def test_snf_matches_the_dense_elimination(ring, density):
         got = (snf.U.rows, snf.D.rows, snf.V.rows, snf.Uinv.rows, snf.Vinv.rows, snf.rank)
         assert repr(got) == repr(ref), (m, n)
         assert repr(smith_diagonal(A)) == repr((snf.diagonal, snf.rank))
+
+
+# -- transforms built on first read -------------------------------------------
+#
+# `smith_normal_form` keeps logs of its row and column operations, and each
+# transform is replayed from its log when it is first read.  A 3 x 5 matrix
+# tells the transforms apart by the size of the replay: U and U^-1 are 3 x 3,
+# V and V^-1 are 5 x 5.
+
+TRANSFORM_KEYS = {"U": (3, False), "Uinv": (3, True), "V": (5, False), "Vinv": (5, True)}
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """The (size, inverse) of every replay made while the test runs."""
+    made = []
+    real = tl.matrices._replay
+
+    def recording(rg, ops, n, inverse):
+        made.append((n, inverse))
+        return real(rg, ops, n, inverse)
+
+    monkeypatch.setattr("twistlab.matrices._replay", recording)
+    return made
+
+
+def test_reading_a_transform_builds_it_once(replays):
+    snf = smith_normal_form(M([[2, 4, 1, 0, 3], [6, 8, 0, 1, 5], [1, 0, 7, 2, 2]]))
+    assert replays == []
+    first = snf.V
+    assert replays == [TRANSFORM_KEYS["V"]]
+    assert snf.V is first
+    assert replays == [TRANSFORM_KEYS["V"]]
+
+
+def test_kernel_basis_builds_only_v_and_solve_only_u_and_v(replays):
+    A = M([[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 1, 0, 1, 0]])
+    assert A.mul(kernel_basis(A)).is_zero()
+    assert replays == [TRANSFORM_KEYS["V"]]
+    replays.clear()
+    B = M([[1], [2], [1]])
+    assert A.mul(solve(A, B)) == B
+    assert sorted(replays) == sorted([TRANSFORM_KEYS["U"], TRANSFORM_KEYS["V"]])
+
+
+@pytest.mark.parametrize("ring", CONTRACT_RINGS, ids=str)
+def test_transforms_read_in_any_order_match_the_dense_elimination(ring, replays):
+    rng = random.Random(2718)
+    for density in (0.3, 1):
+        A = random_matrix(rng, ring, 3, 5, density)
+        if ring == Q:
+            A = Matrix(Q, [[x / rng.randint(1, 6) for x in row] for row in A.rows])
+        U, _, V, Uinv, Vinv, _ = dense_smith_normal_form(A)
+        ref = {"U": U, "Uinv": Uinv, "V": V, "Vinv": Vinv}
+        for order in itertools.permutations(ref):
+            snf = smith_normal_form(A)
+            replays.clear()
+            for name in order:
+                assert repr(getattr(snf, name).rows) == repr(ref[name]), (density, order)
+            assert replays == [TRANSFORM_KEYS[name] for name in order]
+
+
+def test_concurrent_first_reads_build_the_same_transforms():
+    A = random_matrix(random.Random(161), Z, 12, 15, 0.4)
+    U, _, V, Uinv, Vinv, _ = dense_smith_normal_form(A)
+    ref = {"U": U, "Uinv": Uinv, "V": V, "Vinv": Vinv}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            snf = smith_normal_form(A)
+            seen = [[] for _ in range(8)]
+
+            def read(out, names):
+                out.extend((name, getattr(snf, name)) for name in names)
+
+            names = list(ref)
+            threads = [threading.Thread(target=read, args=(out, names[k % 4:] + names[:k % 4]))
+                       for k, out in enumerate(seen)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+                assert not th.is_alive()
+            for out in seen:
+                assert len(out) == 4
+                for name, got in out:
+                    assert got.rows == ref[name] and got == getattr(snf, name), name
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- the sparse unit pass of smith_diagonal ----------------------------------

@@ -74,6 +74,19 @@ def test_a_map_takes_exactly_one_header_first(text, message):
     assert str(got.value) == message
 
 
+@pytest.mark.parametrize("fixture, domain, codomain, extra, message", [
+    ("wrap.map", "circle3", "circle1", "send a a", "line 8: duplicate assignment of 'a'"),
+    ("collapse.map", "disk", "point", "collapse a p 00",
+     "line 9: duplicate assignment of 'a'"),
+    ("collapse.map", "disk", "point", "send T p", "line 9: duplicate assignment of 'T'"),
+], ids=["send", "collapse", "send_after_collapse"])
+def test_a_map_assigns_each_simplex_once(fixture, domain, codomain, extra, message):
+    text = fixture_text(fixture) + extra + "\n"
+    with pytest.raises(ParseError) as got:
+        tl.parse_map(text, load_complex(domain), load_complex(codomain))
+    assert str(got.value) == message
+
+
 def test_unknown_edge():
     K = load_complex("circle1")
     with pytest.raises(ParseError, match="unknown edge"):
