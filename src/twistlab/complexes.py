@@ -25,7 +25,11 @@ class DeltaComplex:
 
     Its tables, filled by `parse_complex`: name -> face tuple (`_faces`) and ->
     dimension (`_dims`), dimension -> names in input order (`_by_dim`), and
-    name -> position within its dimension (`_index`, fixing matrix bases)."""
+    name -> position within its dimension (`_index`, fixing matrix bases).
+    `pseudomanifold_check` adds the coface table of the top dimension n
+    (`_cofaces`): three lists indexed by the position f of an (n-1)-simplex,
+    its first and second slots p = (n+1)*s + i (face i of the top simplex at
+    position s), -1 where there is none, and its number of slots."""
 
     def __init__(self, name: str, faces: dict, dims: dict, by_dim: dict, index: dict):
         self.name = name
@@ -35,6 +39,7 @@ class DeltaComplex:
         self._index = index
         self.dimension = max(by_dim) if by_dim else -1
         self._manifold_report: ManifoldReport | None = None
+        self._cofaces: tuple[list[int], list[int], list[int]] | None = None
 
     # -- structure access ----------------------------------------------
 
@@ -53,7 +58,9 @@ class DeltaComplex:
         every dimension: k + 1 faces for k >= 1, none for a vertex)."""
         return self is other or self._faces == other._faces
 
-    # Accessors catch the miss rather than test first, so a hit costs nothing.
+    # Accessors catch a missing name rather than test first, so a hit costs
+    # nothing; a face index is tested, as Python reads a negative one from
+    # the end.
 
     def _no_simplex(self, name: str) -> ValidationError:
         return ValidationError(f"complex {self.name!r} has no simplex {name!r}")
@@ -71,14 +78,10 @@ class DeltaComplex:
             raise self._no_simplex(name) from None
 
     def face(self, name: str, i: int) -> str:
-        try:
-            return self._faces[name][i]
-        except KeyError:
-            raise self._no_simplex(name) from None
-        except IndexError:
-            raise ValidationError(
-                f"simplex {name!r} of complex {self.name!r} has no face {i}"
-            ) from None
+        faces = self.faces(name)
+        if not 0 <= i < len(faces):
+            raise ValidationError(f"simplex {name!r} of complex {self.name!r} has no face {i}")
+        return faces[i]
 
     def index_of(self, name: str) -> int:
         try:
@@ -136,17 +139,9 @@ class DeltaComplex:
     def edge_ends(self, edge: str) -> tuple[str, str]:
         """(tail, head) = (sigma(e_0), sigma(e_1)) of a 1-simplex."""
         f = self.faces(edge)
+        if len(f) != 2:
+            raise ValidationError(f"simplex {edge!r} of complex {self.name!r} is not an edge")
         return f[1], f[0]
-
-    # -- derived data ----------------------------------------------------
-
-    def cofaces(self, k: int) -> dict[str, list[tuple[str, int]]]:
-        """For each k-simplex, the (simplex, face-index) slots it bounds."""
-        out = {nm: [] for nm in self.simplices(k)}
-        for nm in self.simplices(k + 1):
-            for i, f in enumerate(self._faces[nm]):
-                out[f].append((nm, i))
-        return out
 
 
 @cache
@@ -382,28 +377,33 @@ class ManifoldReport:
         return self.pure and self.two_cofaces and self.dual_connected
 
 
-def _propagate_signs(root, edges) -> dict | None:
-    """Sign labels on the component of root, found breadth first: label[root] = 1
-    and label[b] = sign * label[a] for each (b, sign) in edges[a].  None when an
-    edge contradicts the labels."""
-    label = {root: 1}
+def _propagate_signs(root: int, edges, label: list[int]) -> list[int] | None:
+    """Sign labels on the component of root, found breadth first and written
+    into label, where 0 marks an id not yet reached: label[root] = 1 and
+    label[b] = sign * label[a] for each (b, sign) in edges[a].  Returns the
+    component's ids in the order reached, or None when an edge contradicts the
+    labels."""
+    label[root] = 1
     queue = [root]
     for a in queue:
+        here = label[a]
         for b, sign in edges[a]:
-            want = sign * label[a]
-            if b not in label:
+            want = sign * here
+            there = label[b]
+            if not there:
                 label[b] = want
                 queue.append(b)
-            elif label[b] != want:
+            elif there != want:
                 return None
-    return label
+    return queue
 
 
 def pseudomanifold_check(K: DeltaComplex) -> ManifoldReport:
     """Purity, two cofaces on every (n-1)-simplex, and dual connectivity: the
     top simplices are one component when joined across faces with two cofaces.
 
-    The complex is immutable, so the report is computed once and kept on it."""
+    The complex is immutable, so the report is computed once and kept on it,
+    next to the coface table the check builds (`DeltaComplex._cofaces`)."""
     if K._manifold_report is None:
         K._manifold_report = _check_pseudomanifold(K)
     return K._manifold_report
@@ -414,30 +414,51 @@ def _check_pseudomanifold(K: DeltaComplex) -> ManifoldReport:
     if n < 0:
         return ManifoldReport(n, False, False, False)
     top = K.simplices(n)
+    width = n + 1
+
+    # The coface table, filled slot by slot in the order p = width * s + i.
+    faces = K._faces
+    get = faces.__getitem__
+    at = list(map(K._index.__getitem__, chain.from_iterable(map(get, top))))
+    size = len(K.simplices(n - 1))
+    first, second, count = [-1] * size, [-1] * size, [0] * size
+    for p, f in enumerate(at):
+        c = count[f]
+        if c == 0:
+            first[f] = p
+        elif c == 1:
+            second[f] = p
+        count[f] = c + 1
+    K._cofaces = (first, second, count)
 
     # Purity: every simplex is an iterated face of a top simplex, that is,
     # every k-simplex below the top is a face of some (k+1)-simplex.  The faces
-    # of (k+1)-simplices are k-simplices, so counting them is enough.
-    faces = K._faces
-    get = faces.__getitem__
-    pure = all(len(set(chain.from_iterable(map(get, K.simplices(k + 1)))))
-               == len(K.simplices(k)) for k in range(n))
+    # of (k+1)-simplices are k-simplices, so counting them is enough; the
+    # table counts them for k = n - 1.
+    pure = 0 not in count and all(
+        len(set(chain.from_iterable(map(get, K.simplices(k + 1))))) == len(K.simplices(k))
+        for k in range(n - 1))
+    two = count.count(2) == size
 
-    # The top simplices on each (n-1)-simplex, once per face slot.
-    slots: dict[str, list] = {nm: [] for nm in K.simplices(n - 1)}
-    for nm in top:
-        for f in faces[nm]:
-            slots[f].append(nm)
-    two = True
-    adj: dict[str, list] = {nm: [] for nm in top}
-    for pair in slots.values():
-        if len(pair) != 2:
-            two = False
-            continue
-        a, b = pair
-        adj[a].append((b, 1))
-        adj[b].append((a, 1))
-    connected = bool(top) and len(_propagate_signs(top[0], adj)) == len(top)
+    # Dual connectivity needs no signs: an unsigned walk over top-simplex
+    # positions, joined across the faces with two cofaces.
+    adjacent: list[list[int]] = [[] for _ in top]
+    for p, q, c in zip(first, second, count):
+        if c == 2:
+            s, t = p // width, q // width
+            adjacent[s].append(t)
+            adjacent[t].append(s)
+    connected = False
+    if top:
+        seen = [False] * len(top)
+        seen[0] = True
+        queue = [0]
+        for s in queue:
+            for t in adjacent[s]:
+                if not seen[t]:
+                    seen[t] = True
+                    queue.append(t)
+        connected = len(queue) == len(top)
     return ManifoldReport(n, pure, two, connected)
 
 

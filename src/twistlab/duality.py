@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import DeltaComplex, _propagate_signs, pseudomanifold_check
+from .complexes import DeltaComplex, _propagate_signs, face_path, pseudomanifold_check
 from .errors import TwistlabError, ValidationError
 from .homology import ChainMapData, FreeComplex, ModulePresentation, is_quasi_iso
 from .matrices import Matrix
@@ -54,11 +54,13 @@ class FundamentalClass:
 def fundamental_class(K: DeltaComplex, w: LocalSystem) -> FundamentalClass:
     """Solve for +-1 coefficients making the top chain a cycle over w.
 
-    Each (n-1)-simplex, with coface slots (s1, i1) and (s2, i2), ties
-    mu(s2) = -coef(s1, i1) * coef(s2, i2) * mu(s1); `_propagate_signs` solves the
-    ties from mu = 1 on the first top simplex, and they are consistent exactly
-    when w is the orientation character.  The boundary of mu, summed face by
-    face, then certifies the cycle; no chain complex is built.
+    Face i of a top simplex enters its boundary with coefficient (-1)^i, or
+    w's sign on its front edge for i = 0.  Each (n-1)-simplex, with coface
+    slots (s1, i1) and (s2, i2), ties mu(s2) = -coef(s1, i1) * coef(s2, i2) *
+    mu(s1); `_propagate_signs` solves the ties from mu = 1 on the first top
+    simplex, and they are consistent exactly when w is the orientation
+    character.  The boundary of mu, summed face by face, then certifies the
+    cycle; no chain complex is built.
     """
     report = pseudomanifold_check(K)
     if not report.closed_pseudomanifold or K.dimension < 1:
@@ -68,25 +70,27 @@ def fundamental_class(K: DeltaComplex, w: LocalSystem) -> FundamentalClass:
     _require_base(K, w)
     n = K.dimension
     top = K.simplices(n)
+    width = n + 1
 
-    def coef(simplex, face_index):
-        if face_index == 0:
-            return w.transport(K.front_edge(simplex)).entry(0, 0)
-        return -1 if face_index % 2 else 1
-
-    ties: dict[str, list[tuple[str, int]]] = {s: [] for s in top}
-    for (s1, i1), (s2, i2) in K.cofaces(n - 1).values():
-        sign = -coef(s1, i1) * coef(s2, i2)
-        ties[s1].append((s2, sign))
-        ties[s2].append((s1, sign))
-    unit = _propagate_signs(top[0], ties)
-    if unit is not None:
-        boundary = dict.fromkeys(K.simplices(n - 1), 0)
-        for s in top:
-            for i, f in enumerate(K.faces(s)):
-                boundary[f] += coef(s, i) * unit[s]
-        if not any(boundary.values()):
-            return FundamentalClass(K, w, unit)
+    # coef by coface slot p = width * s + i, with each front-edge sign read once.
+    transports = w.transports
+    rest = [-1 if i % 2 else 1 for i in range(1, width)]
+    coef = [c for e in K.faces_along(top, face_path(n, (0, 1)))
+            for c in (transports[e].entry(0, 0), *rest)]
+    first, second, _ = K._cofaces
+    ties: list[list[tuple[int, int]]] = [[] for _ in top]
+    for p, q in zip(first, second):
+        s, t = p // width, q // width
+        sign = -coef[p] * coef[q]
+        ties[s].append((t, sign))
+        ties[t].append((s, sign))
+    unit = [0] * len(top)
+    reached = _propagate_signs(0, ties, unit)
+    if reached is not None and not any(
+        coef[p] * unit[p // width] + coef[q] * unit[q // width]
+        for p, q in zip(first, second)
+    ):
+        return FundamentalClass(K, w, {top[s]: unit[s] for s in reached})
     raise ValidationError(
         f"no unit-coefficient cycle on {K.name!r} for system {w.name!r}"
     )

@@ -44,14 +44,20 @@ class LocalSystem:
             if e not in full:
                 raise ValidationError(f"system {name!r}: unknown edge {e!r}")
         self.transports = full
-        # Both keyed on a transport's entries: a constant system shares one
-        # identity across every edge, so it is checked and inverted once.
+        # Keyed on a transport's entries: a constant system shares one
+        # identity across every edge, so it is inverted once.
         self._inverses: dict[tuple, Matrix] = {}
         self._validate()
 
     def _validate(self):
+        # Each transport object is checked once, and invertibility once per
+        # value: a sign system shares one matrix per sign across its edges.
+        checked = set()
         invertible = set()
         for e, T in self.transports.items():
+            if id(T) in checked:
+                continue
+            checked.add(id(T))
             if T.nrows != self.rank or T.ncols != self.rank:
                 raise ValidationError(
                     f"system {self.name!r}: transport on {e!r} is not "
@@ -291,18 +297,21 @@ def orientation_system(K: DeltaComplex) -> LocalSystem:
         )
     top = K.simplices(n)
     width = n + 1
-    position = K._index
 
     # Corners of a vertex point: (top simplex, vertex slot), numbered
     # width * (position of the simplex) + slot.  Two corners are glued when a
     # shared (n-1)-face matches the slots; the comparison sign says whether
     # the canonical orientations agree across that face.  The face opposite
-    # slot i keeps the slots other than i, in order.
+    # slot i keeps the slots other than i, in order.  Every face has two
+    # slots p = width * s + i in the coface table, so p - i is the first
+    # corner of s.
     kept = [[m for m in range(width) if m != i] for i in range(width)]
     corner_edges: list[list[tuple[int, int]]] = [[] for _ in range(width * len(top))]
-    for (s1, i1), (s2, i2) in K.cofaces(n - 1).values():
+    first, second, _ = K._cofaces
+    for p1, p2 in zip(first, second):
+        i1, i2 = p1 % width, p2 % width
         sign = _signed_coface_key(i1, i2)
-        b1, b2 = width * position[s1], width * position[s2]
+        b1, b2 = p1 - i1, p2 - i2
         for m1, m2 in zip(kept[i1], kept[i2]):
             corner_edges[b1 + m1].append((b2 + m2, sign))
             corner_edges[b2 + m2].append((b1 + m1, sign))
@@ -321,22 +330,21 @@ def orientation_system(K: DeltaComplex) -> LocalSystem:
     for j, e in enumerate(chain.from_iterable(zip(*edge_cols))):
         spanning.setdefault(e, j)
 
-    corner_sign: dict[int, int] = {}
+    corner_sign = [0] * (width * len(top))
     for v, corners in corners_at.items():
         if not corners:
             raise ValidationError(f"vertex {v!r} lies in no top simplex")
-        local = _propagate_signs(corners[0], corner_edges)
-        if local is None:
+        star = _propagate_signs(corners[0], corner_edges, corner_sign)
+        if star is None:
             raise ValidationError(
                 f"input {K.name!r} is not a combinatorial manifold "
                 f"for this algorithm (star of {v!r} is inconsistent)"
             )
-        if len(local) != len(corners):
+        if len(star) != len(corners):
             raise ValidationError(
                 f"star of vertex {v!r} is not connected through "
                 f"{n - 1}-faces containing it"
             )
-        corner_sign.update(local)
 
     transports = {}
     sign = _sign_matrices()
@@ -357,32 +365,38 @@ def orientation_system(K: DeltaComplex) -> LocalSystem:
 def is_trivializable(G: LocalSystem):
     """Decide s_head = T_e * s_tail solvability for a rank-1 sign system.
 
-    `_propagate_signs` labels each component of the 1-skeleton from its first
-    vertex; a contradicting edge means no gauge exists.  Returns (flag, gauge):
+    `_propagate_signs` labels each component of the 1-skeleton, over vertex
+    positions, from its first vertex; a contradicting edge means no gauge
+    exists.  Returns (flag, gauge):
     the witness gauge satisfies gauge_transform(G, gauge) == constant when
     flag is True.
     """
     if G.rank != 1 or G.ring != Z:
         raise ValidationError("trivializability test needs a rank-1 system over Z")
-    for e, T in G.transports.items():
-        if T.entry(0, 0) not in (1, -1):
+    signs = [T.entry(0, 0) for T in G.transports.values()]  # in edge order
+    for e, t in zip(G.transports, signs):
+        if t not in (1, -1):
             raise ValidationError(f"transport on {e!r} is not a sign")
     K = G.base
-    edges: dict[str, list[tuple[str, int]]] = {v: [] for v in K.simplices(0)}
-    for e in K.simplices(1):
-        tail, head = K.edge_ends(e)
-        t = G.transport(e).entry(0, 0)
+    vertices = K.simplices(0)
+    names = K.simplices(1)
+    # Face 0 of an edge is its head and face 1 its tail, read as vertex positions.
+    heads = map(K._index.__getitem__, K.faces_along(names, (0,)))
+    tails = map(K._index.__getitem__, K.faces_along(names, (1,)))
+    edges: list[list[tuple[int, int]]] = [[] for _ in vertices]
+    for head, tail, t in zip(heads, tails, signs):
         edges[tail].append((head, t))
         edges[head].append((tail, t))
-    s: dict[str, int] = {}
-    for root in K.simplices(0):
-        if root not in s:
-            component = _propagate_signs(root, edges)
+    s = [0] * len(vertices)
+    reached: list[int] = []
+    for root in range(len(vertices)):
+        if not s[root]:
+            component = _propagate_signs(root, edges, s)
             if component is None:
                 return False, None
-            s.update(component)
+            reached += component
     sign = _sign_matrices()
-    gauge = Gauge({v: sign[s[v]] for v in s})
+    gauge = Gauge({vertices[v]: sign[s[v]] for v in reached})
     return True, gauge
 
 

@@ -73,6 +73,15 @@ def subcomplex_as_complex(P: tl.SubcomplexPair, new_name: str) -> tl.DeltaComple
     return build_complex(new_name, entries)
 
 
+def cofaces(K: tl.DeltaComplex, k: int) -> dict[str, list[tuple[str, int]]]:
+    """For each k-simplex of K, the (simplex, face-index) slots it bounds."""
+    out = {nm: [] for nm in K.simplices(k)}
+    for nm in K.simplices(k + 1):
+        for i, f in enumerate(K.faces(nm)):
+            out[f].append((nm, i))
+    return out
+
+
 def build_complex(name: str, entries) -> tl.DeltaComplex:
     """A complex from (dimension, name, faces) entries, each checked for its
     dimension, face count, faces and name, with the face identities left

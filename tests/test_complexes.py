@@ -13,6 +13,7 @@ from conftest import (
     FIXTURES,
     MANIFOLDS,
     build_complex,
+    cofaces,
     fixture_text,
     load_complex,
     skeleton_pair,
@@ -50,8 +51,13 @@ def test_faces_of_an_unknown_simplex_names_it():
     (lambda K: K.vertices("nope"), "no simplex 'nope'"),
     (lambda K: K.front_edge("nope"), "no simplex 'nope'"),
     (lambda K: K.face("U", 7), "simplex 'U' of complex 'torus' has no face 7"),
+    (lambda K: K.face("U", -1), "simplex 'U' of complex 'torus' has no face -1"),
+    (lambda K: K.edge_ends("nope"), "no simplex 'nope'"),
+    (lambda K: K.edge_ends("U"), "simplex 'U' of complex 'torus' is not an edge"),
+    (lambda K: K.edge_ends("v"), "simplex 'v' of complex 'torus' is not an edge"),
 ], ids=["dim_of", "face", "index_of", "range_face", "subset_face", "vertex",
-        "vertices", "front_edge", "face_index"])
+        "vertices", "front_edge", "face_index", "negative_face_index", "edge_ends",
+        "edge_ends_of_a_triangle", "edge_ends_of_a_vertex"])
 def test_accessors_name_a_missing_simplex_or_face(call, message):
     with pytest.raises(ValidationError, match=message):
         call(load_complex("torus"))
@@ -337,17 +343,37 @@ def ref_manifold_report(K):
                 reached.update(K.faces(nm))
     pure = all(nm in reached for nm in K.all_simplices())
     two = True
-    adj = {nm: [] for nm in top}
+    adj = {nm: set() for nm in top}
     if n >= 1:
         for slots in K.cofaces(n - 1).values():
             if len(slots) != 2:
                 two = False
                 continue
             a, b = slots[0][0], slots[1][0]
-            adj[a].append((b, 1))
-            adj[b].append((a, 1))
-    connected = bool(top) and len(complexes._propagate_signs(top[0], adj)) == len(top)
+            adj[a].add(b)
+            adj[b].add(a)
+    # Depth first from the last top simplex: a walk of its own, not the library's.
+    seen = set(top[-1:])
+    stack = list(seen)
+    while stack:
+        for nb in adj[stack.pop()] - seen:
+            seen.add(nb)
+            stack.append(nb)
+    connected = bool(top) and len(seen) == len(top)
     return tl.ManifoldReport(n, pure, two, connected)
+
+
+def assert_same_coface_table(K, R):
+    """K's coface table, built by its pseudomanifold check, holds the first two
+    slots and the slot count of each (n-1)-simplex in R's cofaces, by position."""
+    n = R.dimension
+    first, second, count = K._cofaces
+    width = n + 1
+    slot = [[width * R.index_of(s) + i for s, i in slots]
+            for slots in R.cofaces(n - 1).values()]
+    assert count == [len(ps) for ps in slot]
+    assert first == [ps[0] if ps else -1 for ps in slot]
+    assert second == [ps[1] if len(ps) > 1 else -1 for ps in slot]
 
 
 def ref_parse_complex(text):
@@ -425,7 +451,7 @@ def assert_same_tables(K, R):
     assert (K.name, K.dimension, K.counts()) == (R.name, R.dimension, R.counts())
     for k in range(-1, K.dimension + 2):
         assert K.simplices(k) == R.simplices(k)
-        assert K.cofaces(k) == R.cofaces(k)
+        assert cofaces(K, k) == R.cofaces(k)
     names = list(R.all_simplices())
     assert list(K.all_simplices()) == names
     for nm in names:
@@ -434,6 +460,8 @@ def assert_same_tables(K, R):
             R.dim_of(nm), R.faces(nm), R.index_of(nm))
     assert tl.validate_complex(K).violations == ref_violations(R)
     assert complexes._check_pseudomanifold(K) == ref_manifold_report(R)
+    if R.dimension >= 0:
+        assert_same_coface_table(K, R)
 
 
 def _bench_texts():
@@ -456,7 +484,25 @@ IMPURE = {
     "simplex 1 a v v\nsimplex 1 b w v\n",
     "two_points": "complex pp\ndim 0\nsimplex 0 v\nsimplex 0 w\n",
     "empty": "complex nothing\ndim 0\n",
+    # Pure, but the edge uv has three cofaces and every other edge one, so no
+    # two top simplices are joined.
+    "three_sheets": "complex ts\ndim 2\nsimplex 0 u\nsimplex 0 v\n"
+    + "".join(f"simplex 0 {x}\n" for x in "xyz")
+    + "simplex 1 uv v u\n"
+    + "".join(f"simplex 1 v{x} {x} v\nsimplex 1 u{x} {x} u\n" for x in "xyz")
+    + "".join(f"simplex 2 T{x} v{x} u{x} uv\n" for x in "xyz"),
+    # Two cofaces on every edge, and two components in the dual graph.
+    "two_spheres": "complex ss\ndim 2\n" + "".join(
+        " ".join(parts[:2] + [nm + copy for nm in parts[2:]]) + "\n"
+        for parts in map(str.split, fixture_text("sphere2.cx").splitlines())
+        if parts[:1] == ["simplex"] for copy in "12"),
 }
+
+
+@pytest.mark.parametrize("name, two_cofaces", [("three_sheets", False), ("two_spheres", True)])
+def test_pure_complexes_whose_dual_graph_falls_apart(name, two_cofaces):
+    assert tl.pseudomanifold_check(tl.parse_complex(IMPURE[name])) == tl.ManifoldReport(
+        2, True, two_cofaces, False)
 
 
 def _all_texts():

@@ -74,16 +74,16 @@ def test_fundamental_class_certificate_is_live(monkeypatch):
 
     calls = []
 
-    def propagate_without_contradictions(root, edges):
+    def propagate_without_contradictions(root, edges, label):
         calls.append(root)
-        label = {root: 1}
+        label[root] = 1
         queue = [root]
         for a in queue:
             for b, sign in edges[a]:
-                if b not in label:
+                if not label[b]:
                     label[b] = sign * label[a]
                     queue.append(b)
-        return label
+        return queue
 
     builds = []
     build = twisted.TwistedComplex.__init__

@@ -9,6 +9,7 @@ from conftest import (
     ALL_COMPLEXES,
     MANIFOLDS,
     ORIENTABLE,
+    cofaces,
     fixture_text,
     load_complex,
     load_system,
@@ -362,7 +363,7 @@ def quadratic_orientation_signs(K) -> dict:
     n = K.dimension
     top = K.simplices(n)
     corner_edges = {(s, m): [] for s in top for m in range(n + 1)}
-    for f, slots in K.cofaces(n - 1).items():
+    for f, slots in cofaces(K, n - 1).items():
         (s1, i1), (s2, i2) = slots
         sign = -((-1) ** (i1 + i2))
         for mf in range(n):
@@ -432,7 +433,7 @@ def reference_pseudomanifold_check(K):
     two = True
     adj = {nm: set() for nm in top}
     if n >= 1:
-        for slots in K.cofaces(n - 1).values():
+        for slots in cofaces(K, n - 1).values():
             if len(slots) != 2:
                 two = False
             if len(slots) == 2:
@@ -499,7 +500,7 @@ def reference_fundamental_class(K, w):
     unit = {top[0]: 1}
     queue = [top[0]]
     incident = {s: [] for s in top}
-    for (s1, i1), (s2, i2) in K.cofaces(n - 1).values():
+    for (s1, i1), (s2, i2) in cofaces(K, n - 1).values():
         incident[s1].append((s2, coef(s1, i1), coef(s2, i2)))
         incident[s2].append((s1, coef(s2, i2), coef(s1, i1)))
     while queue:
