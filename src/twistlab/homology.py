@@ -16,10 +16,12 @@ elimination of unit pivots, then a transform-free elimination of what is
 left.
 Representatives (`FreeComplex.homology`) take two SNFs per degree: one of its
 differential, whose V holds the cycle basis and whose V^-1 gives cycle
-coordinates, and one of the boundaries' cycle coordinates, whose U^-1 gives
-the generators.  Class coordinates are computed a matrix at a time: the
-classes of all columns of a cycle matrix are read from one product with the
-kept V^-1.
+coordinates, and one of the boundaries' cycle coordinates, whose U'^-1 gives
+the generators.  No transform is formed: each is applied from its log to the
+matrix it multiplies (`SNF.V_mul` and the like), and a degree keeps only the
+differential's column log and the boundary SNF's row log.  Class coordinates
+are computed a matrix at a time: V^-1, then U', applied to all columns of a
+cycle matrix at once.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import RingMismatchError, TwistlabError
 from .matrices import (
     SNF,
     Matrix,
+    apply_log,
     block_matrix,
     kernel_basis,
     smith_diagonal,
@@ -135,20 +138,22 @@ class FreeComplex:
 
     def class_coordinates(self, k: int, cycles: Matrix) -> Matrix:
         """Coordinates in the degree-k presentation of the classes of the
-        columns of cycles, one column each."""
+        columns of cycles, one column each: U' applied to rows r: of
+        V^-1 . cycles, reduced modulo the orders of the kept generators."""
         _, ctx = self.homology_ctx(k)
         if not self.diff(k).mul(cycles).is_zero():
             raise TwistlabError(f"{self.label}: a column at degree {k} is not a cycle")
-        coords = ctx.vinv.mul(cycles)
-        if not coords.select_rows(range(ctx.r)).is_zero():
+        coords = apply_log(self.ring, ctx.col_ops, [dict(row) for row in cycles.entries],
+                           True, True)
+        if any(coords[:ctx.r]):
             raise TwistlabError(f"{self.label}: a column at degree {k} is not in the cycle module")
-        zeta = coords.select_rows(range(ctx.r, coords.nrows))
-        gamma = ctx.uprime.select_rows(ctx.kept).mul(zeta)
+        gamma = apply_log(self.ring, ctx.row_ops, coords[ctx.r:], False, False)
         rows = [
-            {j: x for j, c in row.items() if (x := c % d)} if (d := ctx.orders[i]) else row
-            for row, i in zip(gamma.entries, ctx.kept)
+            {j: x for j, c in gamma[i].items() if (x := c % d)} if (d := ctx.orders[i])
+            else gamma[i]
+            for i in ctx.kept
         ]
-        return Matrix.sparse(self.ring, rows, gamma.ncols)
+        return Matrix.sparse(self.ring, rows, cycles.ncols)
 
     def is_acyclic(self) -> bool:
         return all(self.group(k).is_zero for k in self.degree_span())
@@ -230,9 +235,9 @@ def torsion_presentation(ring: Ring, invariants, rank: int = 0) -> ModulePresent
 
 @dataclass
 class _QuotientContext:
-    vinv: Matrix             # ambient x ambient, V^-1 of the differential's SNF
-    r: int                   # its rank; rows r: of vinv are cycle coordinates
-    uprime: Matrix           # z x z, row transform of the boundary-coordinate SNF
+    col_ops: list            # column log of the differential's SNF: V and V^-1
+    r: int                   # its rank; rows r: of V^-1 . x are cycle coordinates
+    row_ops: list            # row log of the boundary-coordinate SNF: U'
     orders: list             # padded diagonal: d_i (1 = killed, 0 = free)
     kept: list[int]          # generator indices surviving (d_i != 1)
 
@@ -241,25 +246,27 @@ def presentation_of_quotient(diff_snf: SNF, boundaries: Matrix):
     """Present ker(A) / span(boundaries) from the SNF U A V = D, of rank r, of
     a differential A.  The cycles are V[:, r:], the boundaries' coordinates Y
     in them are rows r: of V^-1 . boundaries (rows :r must vanish), and the
-    generators are the cycles times U'^-1 from the SNF of Y."""
+    generators are the cycles times the kept columns of U'^-1 from the SNF
+    of Y: V . [0; U'^-1 . E], E selecting the kept columns.  No transform is
+    formed; each is applied from its log."""
     ring = diff_snf.D.ring
     r = diff_snf.rank
     ambient = diff_snf.D.ncols
     z = ambient - r
     if z == 0:
         pres = zero_presentation(ring, ambient)
-        return pres, _QuotientContext(diff_snf.Vinv, r, Matrix.identity(ring, 0), [], [])
-    cycles = diff_snf.V.select_cols(range(r, ambient))
-    coords = diff_snf.Vinv.mul(boundaries)
-    if not coords.select_rows(range(r)).is_zero():
+        return pres, _QuotientContext(diff_snf.col_ops, r, [], [], [])
+    coords = diff_snf.Vinv_mul(boundaries)
+    if any(coords.entries[:r]):
         raise TwistlabError("boundaries do not lie in the cycle module")
-    snf = smith_normal_form(coords.select_rows(range(r, ambient)))
+    snf = smith_normal_form(Matrix.sparse(ring, coords.entries[r:], coords.ncols))
     orders = snf.diagonal[:snf.rank] + [ring.zero()] * (z - snf.rank)
     kept = [i for i in range(z) if orders[i] != 1]
     invariants = tuple(orders[i] for i in kept if orders[i])
-    reps = cycles.mul(snf.Uinv.select_cols(kept))
+    gens = snf.Uinv_mul(Matrix.identity(ring, z).select_cols(kept))
+    reps = diff_snf.V_mul(Matrix.sparse(ring, [{} for _ in range(r)] + gens.entries, len(kept)))
     pres = ModulePresentation(ring, len(kept) - len(invariants), invariants, ambient, reps)
-    return pres, _QuotientContext(diff_snf.Vinv, r, snf.U, orders, kept)
+    return pres, _QuotientContext(diff_snf.col_ops, r, snf.row_ops, orders, kept)
 
 
 # -- chain maps -------------------------------------------------------

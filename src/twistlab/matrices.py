@@ -7,10 +7,13 @@ the integers it keeps unimodular transform matrices, so kernels, solutions
 of linear systems, and quotient presentations are exact; over a field every
 nonzero entry is a unit, every remainder is zero, and the same code is
 Gaussian elimination.  `smith_normal_form` returns the diagonal and the
-logs of the elimination's row and column operations, and builds each
-transform or inverse from its log the first time it is read: as in Dumas,
-Saunders and Villard (JSC 2001), transforms are computed only where they
-are needed.  `smith_diagonal` returns only the diagonal and the rank: it
+logs of the elimination's row and column operations.  A caller multiplies
+by a transform or inverse by running its log over the operand, never
+forming the transform: the product form of the inverse (Dantzig and
+Orchard-Hays, 1954), which takes "transforms only where they are needed"
+(Dumas, Saunders and Villard, JSC 2001) one step further.  The transforms
+themselves are built from their logs only when read, which the engine
+never does.  `smith_diagonal` returns only the diagonal and the rank: it
 first eliminates unit pivots, picked by a Markowitz-style rule (ibid.),
 then runs the same elimination, without transforms, on the remainder.  The
 Smith form is unique, so both give the same diagonal.
@@ -20,9 +23,10 @@ rank-d local system has at most (k+1)*d^2 nonzeros per column.  Row i is the
 dict `entries[i]` from column to nonzero entry, and no dict holds a zero, so
 products, sums, transposes and blocks cost time in the nonzeros.  The
 elimination changes only the entries an operation reaches, deleting those
-that cancel, and a replayed log builds V transposed and U^-1 transposed, so
-that every operation on a transform is a row operation.  Its pivots and
-operations are those of a dense sweep.
+that cancel, and every operation a log applies is a row operation on its
+operand (`apply_log`).  Its pivots and operations are those of a dense
+sweep.  Row and column indices are checked: one out of range raises
+`TwistlabError`.
 
 Entries are canonical ring elements (see `Ring`), so an entry is zero
 exactly when it is falsy, and zero tests here read `not a` instead of
@@ -121,11 +125,23 @@ class Matrix:
         return not any(self.entries)
 
     def entry(self, i, j):
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            self._check_index("row", (i,), self.nrows)
+            self._check_index("column", (j,), self.ncols)
         return self.entries[i].get(j) or self.ring.zero()
 
     def col(self, j):
+        if not 0 <= j < self.ncols:
+            self._check_index("column", (j,), self.ncols)
         z = self.ring.zero()
         return [row.get(j, z) for row in self.entries]
+
+    def _check_index(self, what, idx, bound):
+        """Raise, naming the first, if an index in idx lies outside range(bound)."""
+        if idx and (min(idx) < 0 or max(idx) >= bound):
+            bad = next(i for i in idx if not 0 <= i < bound)
+            raise TwistlabError(f"{what} index {bad} out of range for a "
+                                f"{self.nrows}x{self.ncols} matrix")
 
     def _require_ring(self, other, op):
         if self.ring != other.ring:
@@ -208,6 +224,8 @@ class Matrix:
         return Matrix.sparse(self.ring, out, n + other.ncols)
 
     def submatrix(self, row_idx, col_idx):
+        self._check_index("row", row_idx, self.nrows)
+        self._check_index("column", col_idx, self.ncols)
         where = {j: c for c, j in enumerate(col_idx)}
         if len(where) < len(col_idx):  # a repeated column: pick columns as rows
             return self.transpose().select_rows(col_idx).transpose().select_rows(row_idx)
@@ -218,6 +236,7 @@ class Matrix:
         return self.submatrix(range(self.nrows), col_idx)
 
     def select_rows(self, row_idx):
+        self._check_index("row", row_idx, self.nrows)
         return Matrix.sparse(self.ring, [dict(self.entries[i]) for i in row_idx], self.ncols)
 
     def cast(self, ring: Ring) -> "Matrix":
@@ -264,45 +283,66 @@ class SNF:
     over Z); Uinv and Vinv are the inverses of U and V.
 
     The elimination leaves D, the rank and two logs of its elementary
-    operations, one for the rows and one for the columns.  Each transform is
-    built from its log the first time it is read and kept: U and U^-1 replay
-    the row log, V and V^-1 the column log (see `_replay`).  A caller pays
-    only for the transforms it reads; building one twice gives the same
-    matrix, so a concurrent first read is safe.
+    operations, `row_ops` for the rows and `col_ops` for the columns.  The
+    engine never forms a transform: `U_mul`, `Uinv_mul`, `V_mul` and
+    `Vinv_mul` run a log over a copy of their operand (see `apply_log`).
+    Each transform itself is that run over the identity, made the first
+    time it is read and kept; building one twice gives the same matrix, so
+    a concurrent first read is safe.
     """
 
     def __init__(self, D: Matrix, rank: int, row_ops: list, col_ops: list):
         self.D, self.rank = D, rank
-        self._row_ops, self._col_ops = row_ops, col_ops
+        self.row_ops, self.col_ops = row_ops, col_ops
 
     @cached_property
     def U(self) -> Matrix:
-        rg, m = self.D.ring, self.D.nrows
-        return Matrix.sparse(rg, _replay(rg, self._row_ops, m, False), m)
+        return _transform(self.D.ring, self.row_ops, self.D.nrows, False, False)
 
     @cached_property
     def Uinv(self) -> Matrix:
-        rg, m = self.D.ring, self.D.nrows
-        return Matrix.sparse(rg, _transpose(_replay(rg, self._row_ops, m, True), m), m)
+        return _transform(self.D.ring, self.row_ops, self.D.nrows, True, False)
 
     @cached_property
     def V(self) -> Matrix:
-        rg, n = self.D.ring, self.D.ncols
-        return Matrix.sparse(rg, _transpose(_replay(rg, self._col_ops, n, False), n), n)
+        return _transform(self.D.ring, self.col_ops, self.D.ncols, False, True)
 
     @cached_property
     def Vinv(self) -> Matrix:
-        rg, n = self.D.ring, self.D.ncols
-        return Matrix.sparse(rg, _replay(rg, self._col_ops, n, True), n)
+        return _transform(self.D.ring, self.col_ops, self.D.ncols, True, True)
+
+    def U_mul(self, X: Matrix) -> Matrix:
+        """U * X, without forming U."""
+        return self._mul(X, self.row_ops, self.D.nrows, False, False)
+
+    def Uinv_mul(self, X: Matrix) -> Matrix:
+        """U^-1 * X, without forming U^-1."""
+        return self._mul(X, self.row_ops, self.D.nrows, True, False)
+
+    def V_mul(self, X: Matrix) -> Matrix:
+        """V * X, without forming V."""
+        return self._mul(X, self.col_ops, self.D.ncols, False, True)
+
+    def Vinv_mul(self, X: Matrix) -> Matrix:
+        """V^-1 * X, without forming V^-1."""
+        return self._mul(X, self.col_ops, self.D.ncols, True, True)
+
+    def _mul(self, X, ops, n, inverse, transposed):
+        self.D._require_ring(X, "product")
+        if X.nrows != n:
+            raise TwistlabError(f"shape mismatch {n}x{n} * {X.nrows}x{X.ncols}")
+        rows = apply_log(X.ring, ops, [dict(row) for row in X.entries], inverse, transposed)
+        return Matrix.sparse(X.ring, rows, X.ncols)
 
     @property
     def diagonal(self):
-        return [self.D.entry(i, i) for i in range(min(self.D.nrows, self.D.ncols))]
+        zero = self.D.ring.zero()
+        return [row.get(i, zero) for i, row in zip(range(self.D.ncols), self.D.entries)]
 
     def solve(self, B: Matrix):
         """Exact X with A X = B for the diagonalized A, or None if there is none."""
         rg = self.D.ring
-        C = self.U.mul(B)
+        C = self.U_mul(B)
         diag = self.diagonal
         Y = [{} for _ in range(self.D.ncols)]
         for i, crow in enumerate(C.entries):
@@ -314,30 +354,45 @@ class SNF:
                 if r:
                     return None
                 Y[i][j] = q
-        return self.V.mul(Matrix.sparse(rg, Y, B.ncols))
+        return self.V_mul(Matrix.sparse(rg, Y, B.ncols))
 
 
-def _replay(rg, ops, n, inverse):
-    """The rows of the n x n transform that the logged operations `ops` make
-    from the identity, or with `inverse` the rows of the transpose of its
-    inverse.  An entry (a, b, q) is a swap of rows a and b when q is None, a
-    scaling of row a by the unit q when b is None, and rows[a] -= q * rows[b]
-    otherwise.  The inverse of each, applied in the same order to the
-    transpose, is the same swap, the scaling by q^-1 and rows[b] += q *
-    rows[a]."""
-    rows = _identity_rows(rg, n)
+def apply_log(rg, ops, rows, inverse, transposed):
+    """Left-multiply the row dicts `rows`, in place, by the transform the
+    logged operations `ops` make, and return them.
+
+    An entry (a, b, q) of a log is an elementary matrix E: a swap of rows a
+    and b when q is None, a scaling of row a by the unit q when b is None,
+    and rows[a] -= q * rows[b] otherwise.  The row log E_1 ... E_k makes
+    U = E_k...E_1, and the column log, each column operation logged as the
+    row operation of its transpose, makes V^T = E_k...E_1.  So U * X runs
+    the log forward with each E as logged, U^-1 * X runs it backward with
+    each E inverted (the scaling by q^-1, rows[a] += q * rows[b]), V * X
+    backward with each E transposed (rows[b] -= q * rows[a]) and V^-1 * X
+    forward with each E inverted and transposed (rows[b] += q * rows[a]); a
+    swap is its own inverse and transpose.  With both flags false the column
+    log gives V^T * X.
+    """
     mul, zero = rg.mul, rg.zero()
     op = rg.add if inverse else rg.sub
-    for a, b, q in ops:
+    for a, b, q in reversed(ops) if inverse != transposed else ops:
         if q is None:
             rows[a], rows[b] = rows[b], rows[a]
         elif b is None:
-            _scale(rows[a], rg.inv(q) if inverse else q, mul)
-        elif inverse:
-            _add_multiple(rows[b], rows[a], q, op, mul, zero)
-        else:
+            if rows[a]:
+                _scale(rows[a], rg.inv(q) if inverse else q, mul)
+        elif transposed:
+            if rows[a]:
+                _add_multiple(rows[b], rows[a], q, op, mul, zero)
+        elif rows[b]:
             _add_multiple(rows[a], rows[b], q, op, mul, zero)
     return rows
+
+
+def _transform(rg, ops, n, inverse, transposed):
+    """The n x n transform (or inverse) the log `ops` makes: `apply_log` run
+    over the identity."""
+    return Matrix.sparse(rg, apply_log(rg, ops, _identity_rows(rg, n), inverse, transposed), n)
 
 
 def _find_pivot(rows, t, size):
@@ -506,7 +561,7 @@ def smith_diagonal(A: Matrix) -> tuple[list, int]:
 def _eliminate(D, logs, rg):
     """Diagonalize the row dicts D in place and return the rank; `logs` is
     the pair of lists the row and column operations are appended to (see
-    `_replay`), or None.
+    `apply_log`), or None.
 
     Rows above t and columns left of t are already zero in column t and row
     t, as every earlier pivot's row and column were cleared, so each sweep
@@ -582,17 +637,18 @@ def _eliminate(D, logs, rg):
 
 
 def kernel_basis(A: Matrix) -> Matrix:
-    """Columns form a basis of ker(A); over Z they generate the integer kernel."""
+    """Columns form a basis of ker(A); over Z they generate the integer kernel:
+    the columns r... of V, read as V applied to their selector."""
     snf = smith_normal_form(A)
-    idx = list(range(snf.rank, A.ncols))
-    return snf.V.select_cols(idx)
+    return snf.V_mul(Matrix.identity(A.ring, A.ncols).select_cols(range(snf.rank, A.ncols)))
 
 
 def image_basis(A: Matrix) -> Matrix:
-    """Columns form a basis of the column span (the image lattice over Z)."""
+    """Columns form a basis of the column span (the image lattice over Z): the
+    columns :r of A V, read as the transpose of the rows :r of V^T A^T."""
     snf = smith_normal_form(A)
-    av = A.mul(snf.V)
-    return av.select_cols(list(range(snf.rank)))
+    vt_at = apply_log(A.ring, snf.col_ops, _transpose(A.entries, A.ncols), False, False)
+    return Matrix.sparse(A.ring, _transpose(vt_at[:snf.rank], A.nrows), snf.rank)
 
 
 def solve(A: Matrix, B: Matrix):

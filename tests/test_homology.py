@@ -106,6 +106,47 @@ def test_class_coordinates_of_representatives_are_the_identity(name, rng):
                     assert coords == Matrix.identity(ring, h.generators), (name, k)
 
 
+def reference_quotient(A, boundaries):
+    """ker(A) / span(boundaries) by the route that forms every transform: the
+    cycles V[:, r:] of A's SNF, the boundaries' cycle coordinates from V^-1,
+    the representatives from the kept columns of U'^-1 of their SNF, and a
+    class-coordinates function from V^-1 and the kept rows of U'.  Returns
+    the cycles, the representatives and that function."""
+    snf = tl.smith_normal_form(A)
+    r, n = snf.rank, A.ncols
+    cycles = snf.V.select_cols(range(r, n))
+    bsnf = tl.smith_normal_form(snf.Vinv.mul(boundaries).select_rows(range(r, n)))
+    orders = bsnf.diagonal[:bsnf.rank] + [A.ring.zero()] * (n - r - bsnf.rank)
+    kept = [i for i in range(n - r) if orders[i] != 1]
+    reps = cycles.mul(bsnf.Uinv.select_cols(kept))
+
+    def coordinates(batch):
+        zeta = snf.Vinv.mul(batch).select_rows(range(r, n))
+        gamma = bsnf.U.select_rows(kept).mul(zeta)
+        return Matrix(A.ring, [[c % orders[i] if orders[i] else c for c in row]
+                               for i, row in zip(kept, gamma.rows)]) if kept else gamma
+
+    return cycles, reps, coordinates
+
+
+@pytest.mark.parametrize("name", ALL_COMPLEXES)
+def test_presentations_and_class_coordinates_match_the_formed_transforms(name, rng):
+    K = load_complex(name)
+    for ring in (tl.Z, tl.Q, tl.prime_field(5)):
+        for G in (tl.constant_system(K, 2, ring), random_flat_system(name, 2, ring, rng)):
+            for C in (tl.chain_complex(K, G), tl.cochain_complex(K, G)):
+                for k in range(-1, K.dimension + 2):
+                    into = k + 1 if C.direction == "chain" else k - 1
+                    cycles, reps, coordinates = reference_quotient(C.diff(k), C.diff(into))
+                    h = C.homology(k)
+                    assert repr(h.representatives.rows) == repr(reps.rows), (name, k)
+                    assert h.representatives.ncols == reps.ncols
+                    batch = cycles.hstack(reps).hstack(C.diff(into))
+                    got, want = C.class_coordinates(k, batch), coordinates(batch)
+                    assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+                    assert repr(got.rows) == repr(want.rows), (name, ring, k)
+
+
 def test_class_coordinates_reject_a_batch_with_a_non_cycle():
     K = load_complex("circle3")
     C = tl.chain_complex(K, tl.constant_system(K, 1, tl.Z))

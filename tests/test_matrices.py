@@ -189,6 +189,33 @@ def test_empty_shapes():
     assert smith_normal_form(A).rank == 0
 
 
+@pytest.mark.parametrize("call, index", [
+    (lambda A: A.select_cols([5]), 5),
+    (lambda A: A.select_cols([0, -1]), -1),
+    (lambda A: A.select_cols([1, 1, 2]), 2),
+    (lambda A: A.select_rows([-1]), -1),
+    (lambda A: A.select_rows([0, 2]), 2),
+    (lambda A: A.submatrix([3], [0]), 3),
+    (lambda A: A.col(5), 5),
+    (lambda A: A.col(-1), -1),
+    (lambda A: A.entry(5, 0), 5),
+    (lambda A: A.entry(0, -1), -1),
+], ids=["cols-5", "cols-neg", "repeated-cols", "rows-neg", "rows-2", "submatrix", "col-5",
+        "col-neg", "entry-row", "entry-col"])
+def test_index_misuse_raises_naming_the_index(call, index):
+    A = M([[1, 2], [3, 4]])
+    with pytest.raises(TwistlabError, match=f"index {index} out of range for a 2x2 matrix"):
+        call(A)
+
+
+def test_reads_in_range_are_unchanged():
+    A = M([[1, 2], [3, 4]])
+    assert A.select_cols([1, 1, 0]).rows == [[2, 2, 1], [4, 4, 3]]
+    assert A.select_rows([1, 0]).rows == [[3, 4], [1, 2]]
+    assert A.select_rows([]).nrows == 0 and A.select_cols(range(0)).ncols == 0
+    assert (A.col(1), A.entry(1, 0)) == ([2, 4], 3)
+
+
 def test_add_and_sub_reject_mismatched_shapes():
     A = M([[1, 2], [3, 4]])
     for B in (M([[1, 2, 3], [4, 5, 6]]), M([[1, 2]]), Matrix.zeros(Z, 0, 2)):
@@ -411,27 +438,28 @@ def test_snf_matches_the_dense_elimination(ring, density):
         assert repr(smith_diagonal(A)) == repr((snf.diagonal, snf.rank))
 
 
-# -- transforms built on first read -------------------------------------------
+# -- transforms built on first read, and applied without being built ---------
 #
-# `smith_normal_form` keeps logs of its row and column operations, and each
-# transform is replayed from its log when it is first read.  A 3 x 5 matrix
-# tells the transforms apart by the size of the replay: U and U^-1 are 3 x 3,
-# V and V^-1 are 5 x 5.
+# `smith_normal_form` keeps logs of its row and column operations.  Each
+# transform is built from its log when it is first read; the engine reads
+# none, applying each log to the matrix it multiplies instead.  A 3 x 5
+# matrix tells the transforms apart by the size of the build: U and U^-1 are
+# 3 x 3, V and V^-1 are 5 x 5.
 
 TRANSFORM_KEYS = {"U": (3, False), "Uinv": (3, True), "V": (5, False), "Vinv": (5, True)}
 
 
 @pytest.fixture
 def replays(monkeypatch):
-    """The (size, inverse) of every replay made while the test runs."""
+    """The (size, inverse) of every transform built while the test runs."""
     made = []
-    real = tl.matrices._replay
+    real = tl.matrices._transform
 
-    def recording(rg, ops, n, inverse):
+    def recording(rg, ops, n, inverse, transposed):
         made.append((n, inverse))
-        return real(rg, ops, n, inverse)
+        return real(rg, ops, n, inverse, transposed)
 
-    monkeypatch.setattr("twistlab.matrices._replay", recording)
+    monkeypatch.setattr("twistlab.matrices._transform", recording)
     return made
 
 
@@ -444,14 +472,55 @@ def test_reading_a_transform_builds_it_once(replays):
     assert replays == [TRANSFORM_KEYS["V"]]
 
 
-def test_kernel_basis_builds_only_v_and_solve_only_u_and_v(replays):
+def test_solvers_presentations_and_class_coordinates_build_no_transform(replays):
     A = M([[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 1, 0, 1, 0]])
     assert A.mul(kernel_basis(A)).is_zero()
-    assert replays == [TRANSFORM_KEYS["V"]]
-    replays.clear()
     B = M([[1], [2], [1]])
     assert A.mul(solve(A, B)) == B
-    assert sorted(replays) == sorted([TRANSFORM_KEYS["U"], TRANSFORM_KEYS["V"]])
+    assert solve(image_basis(A), A) is not None
+    K = load_complex("klein")
+    G = random_flat_system("klein", 2, Z, random.Random(7))
+    for C in (tl.chain_complex(K, G), tl.cochain_complex(K, G)):
+        for k in range(K.dimension + 1):
+            h = C.homology(k)
+            assert C.class_coordinates(k, h.representatives) == Matrix.identity(Z, h.generators)
+    assert replays == []
+
+
+TRANSFORMS = ("U", "Uinv", "V", "Vinv")
+
+
+@pytest.mark.parametrize("ring", CONTRACT_RINGS, ids=str)
+@pytest.mark.parametrize("density", [0.3, 1])
+def test_applying_a_transform_matches_multiplying_by_it(ring, density):
+    rng = random.Random(8128)
+    shapes = [(0, 4), (4, 0), (0, 0)]
+    shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(40)]
+    for m, n in shapes:
+        A = random_matrix(rng, ring, m, n, density)
+        if ring == Q and m:
+            A = Matrix(Q, [[x / rng.randint(1, 6) for x in row] for row in A.rows])
+        for snf in (smith_normal_form(A), smith_normal_form(Matrix.zeros(ring, m, n))):
+            for name in TRANSFORMS:
+                T = getattr(snf, name)
+                for cols in (0, rng.randint(1, 6)):
+                    X = random_matrix(rng, ring, T.nrows, cols, density)
+                    before = X.copy()
+                    got = getattr(snf, name + "_mul")(X)
+                    assert (got.nrows, got.ncols) == (T.nrows, cols)
+                    assert repr(got.rows) == repr(T.mul(X).rows), (m, n, name)
+                    assert X == before
+
+
+def test_applying_a_transform_refuses_a_wrong_operand():
+    snf = smith_normal_form(M([[2, 4, 1], [6, 8, 0]]))
+    for name, n in (("U", 2), ("Uinv", 2), ("V", 3), ("Vinv", 3)):
+        apply = getattr(snf, name + "_mul")
+        for rows in (n - 1, n + 1):
+            with pytest.raises(TwistlabError, match=f"shape mismatch {n}x{n} \\* {rows}x2"):
+                apply(Matrix.zeros(Z, rows, 2))
+        with pytest.raises(RingMismatchError):
+            apply(Matrix.zeros(Q, n, 2))
 
 
 @pytest.mark.parametrize("ring", CONTRACT_RINGS, ids=str)
