@@ -1,10 +1,10 @@
 """Finite Delta-complexes: named ordered simplices glued along face maps.
 
-A k-simplex stores the names of its k+1 faces, face i being the (k-1)-simplex
-opposite vertex e_i.  Repeated-vertex gluings are allowed, so one-vertex
-models of the torus, Klein bottle, etc. are valid inputs.  A complex is a few
-plain tables that `parse_complex` fills in one pass over the document's lines;
-the checks and walks read them a whole dimension at a time.
+A k-simplex stores its k+1 faces by the faces' own name objects, face i being
+the (k-1)-simplex opposite vertex e_i.  Repeated-vertex gluings are allowed,
+so one-vertex models of the torus, Klein bottle, etc. are valid inputs.  A
+complex is a few plain tables that `parse_complex` fills in one pass over the
+document's lines; the checks and walks read them a whole dimension at a time.
 """
 
 from __future__ import annotations
@@ -23,18 +23,17 @@ MAX_SIMPLICES = 100000
 class DeltaComplex:
     """Validated immutable complex; simplex order follows the input order.
 
-    Its tables, filled by `parse_complex`: name -> face tuple (`_faces`) and ->
-    dimension (`_dims`), dimension -> names in input order (`_by_dim`), and
-    name -> position within its dimension (`_index`, fixing matrix bases).
-    `pseudomanifold_check` adds the coface table of the top dimension n
-    (`_cofaces`): three lists indexed by the position f of an (n-1)-simplex,
-    its first and second slots p = (n+1)*s + i (face i of the top simplex at
-    position s), -1 where there is none, and its number of slots."""
+    Its tables, filled by `parse_complex`, hold each name once: name -> tuple of
+    the faces' own names (`_faces`, which fixes dimensions), dimension -> names
+    in input order (`_by_dim`) and name -> position within its dimension
+    (`_index`, fixing matrix bases).  `pseudomanifold_check` adds the coface
+    table of the top dimension n (`_cofaces`): three lists indexed by the
+    position f of an (n-1)-simplex, its first and second slots p = (n+1)*s + i
+    (face i of the top simplex at position s), -1 where none, and its slot count."""
 
-    def __init__(self, name: str, faces: dict, dims: dict, by_dim: dict, index: dict):
+    def __init__(self, name: str, faces: dict, by_dim: dict, index: dict):
         self.name = name
         self._faces = faces
-        self._dims = dims
         self._by_dim = by_dim
         self._index = index
         self.dimension = max(by_dim) if by_dim else -1
@@ -65,9 +64,12 @@ class DeltaComplex:
     def _no_simplex(self, name: str) -> ValidationError:
         return ValidationError(f"complex {self.name!r} has no simplex {name!r}")
 
+    def _no_face(self, name: str, i: int) -> ValidationError:
+        return ValidationError(f"simplex {name!r} of complex {self.name!r} has no face {i}")
+
     def dim_of(self, name: str) -> int:
         try:
-            return self._dims[name]
+            return (len(self._faces[name]) or 1) - 1  # k + 1 faces, a vertex none
         except KeyError:
             raise self._no_simplex(name) from None
 
@@ -80,7 +82,7 @@ class DeltaComplex:
     def face(self, name: str, i: int) -> str:
         faces = self.faces(name)
         if not 0 <= i < len(faces):
-            raise ValidationError(f"simplex {name!r} of complex {self.name!r} has no face {i}")
+            raise self._no_face(name, i)
         return faces[i]
 
     def index_of(self, name: str) -> int:
@@ -122,8 +124,13 @@ class DeltaComplex:
         the path from `face_path`: one pass over the face table per step."""
         get = self._faces.__getitem__
         out = list(names)
-        for i in path:
-            out = list(map(itemgetter(i), map(get, out)))
+        try:
+            for i in path:
+                out = list(map(itemgetter(i), map(get, out)))
+        except KeyError as exc:
+            raise self._no_simplex(exc.args[0]) from None
+        except IndexError:
+            raise self._no_face(next(nm for nm in out if len(get(nm)) <= i), i) from None
         return out
 
     def vertex(self, name: str, m: int) -> str:
@@ -183,14 +190,12 @@ def validate_complex(K: DeltaComplex) -> ValidationReport:
             ff = [faces[f] for f in faces[nm]]
             for j in range(1, k + 1):
                 for i in range(j):
-                    left = ff[j][i]
-                    right = ff[i][j - 1]
+                    left, right = ff[j][i], ff[i][j - 1]
                     if left != right:
                         report.violations.append(
                             f"face identity fails on {nm!r} at (i={i}, j={j}): "
                             f"face_{i}(face_{j}) = {left!r} but "
-                            f"face_{j - 1}(face_{i}) = {right!r}"
-                        )
+                            f"face_{j - 1}(face_{i}) = {right!r}")
     return report
 
 
@@ -221,7 +226,11 @@ def parse_complex(text: str) -> DeltaComplex:
     level_dim = None
     k_token = None
     room = MAX_SIMPLICES
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Each line is popped, so released once read, up to a "\n" that none holds.
+    lines = text.splitlines()
+    lines.append("\n")
+    lines.reverse()
+    for lineno, raw in enumerate(iter(lines.pop, "\n"), start=1):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
         parts = raw.split()
@@ -240,31 +249,31 @@ def parse_complex(text: str) -> DeltaComplex:
                     raise ParseError(f"bad simplex dimension {parts[1]!r}", lineno) from None
                 k_token = parts[1]
             nm = parts[2]
-            faces = tuple(parts[3:])
             if k > declared_dim:
-                raise ParseError(
-                    f"simplex {nm!r} exceeds declared dimension {declared_dim}", lineno
-                )
+                raise ParseError(f"simplex {nm!r} exceeds declared dimension {declared_dim}",
+                                 lineno)
             if k < last_dim:
                 raise ParseError("simplices must appear in ascending dimension", lineno)
             last_dim = k
-            if k >= 1 and len(faces) != k + 1:
-                raise ParseError(
-                    f"simplex {nm!r} of dimension {k} needs {k + 1} faces", lineno
-                )
-            if k == 0 and faces:
+            if k >= 1 and len(parts) != k + 4:
+                raise ParseError(f"simplex {nm!r} of dimension {k} needs {k + 1} faces", lineno)
+            if k == 0 and len(parts) > 3:
                 raise ParseError("vertices take no faces", lineno)
             if table_error is not None:
                 continue
             if k != level_dim:
-                # Dimensions ascend, so every (k-1)-simplex is already listed.
+                # Dimensions ascend, so every (k-1)-simplex is already listed;
+                # each maps to its own name, and k + 1 >= 2 of them to a tuple.
                 level_dim = k
                 level = by_dim.setdefault(k, [])
-                below = frozenset(by_dim.get(k - 1, ()))
-            if not below.issuperset(faces):
-                f = next(f for f in faces if f not in below)
-                table_error = ValidationError(f"unknown face {f!r} of simplex {nm!r}")
-            elif nm in faces_of:
+                names = by_dim.get(k - 1, ())
+                below = dict(zip(names, names))
+            try:
+                faces = itemgetter(*parts[3:])(below) if k else ()
+            except KeyError as exc:
+                table_error = ValidationError(f"unknown face {exc.args[0]!r} of simplex {nm!r}")
+                continue
+            if nm in faces_of:
                 table_error = ValidationError(f"duplicate simplex name {nm!r}")
             else:
                 faces_of[nm] = faces
@@ -283,21 +292,15 @@ def parse_complex(text: str) -> DeltaComplex:
             except ValueError:
                 raise ParseError(f"bad dimension {parts[1]!r}", lineno) from None
             if declared_dim > MAX_DIMENSION:
-                raise CapacityError(
-                    f"declared dimension {declared_dim} > cap {MAX_DIMENSION}"
-                )
+                raise CapacityError(f"declared dimension {declared_dim} > cap {MAX_DIMENSION}")
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", lineno)
     if name is None:
         raise ParseError("missing 'complex <name>' header")
     if table_error is not None:
         raise table_error
-    dims: dict[str, int] = {}
-    index: dict[str, int] = {}
-    for k, level in by_dim.items():
-        dims.update(dict.fromkeys(level, k))
-        index.update(zip(level, range(len(level))))
-    K = DeltaComplex(name, faces_of, dims, {k: tuple(v) for k, v in by_dim.items()}, index)
+    index = dict(chain.from_iterable(zip(v, range(len(v))) for v in by_dim.values()))
+    K = DeltaComplex(name, faces_of, {k: tuple(v) for k, v in by_dim.items()}, index)
     report = validate_complex(K)
     if not report.ok:
         raise ValidationError("; ".join(report.violations))
@@ -417,8 +420,7 @@ def _check_pseudomanifold(K: DeltaComplex) -> ManifoldReport:
     width = n + 1
 
     # The coface table, filled slot by slot in the order p = width * s + i.
-    faces = K._faces
-    get = faces.__getitem__
+    get = K._faces.__getitem__
     at = list(map(K._index.__getitem__, chain.from_iterable(map(get, top))))
     size = len(K.simplices(n - 1))
     first, second, count = [-1] * size, [-1] * size, [0] * size
@@ -440,24 +442,22 @@ def _check_pseudomanifold(K: DeltaComplex) -> ManifoldReport:
         for k in range(n - 1))
     two = count.count(2) == size
 
-    # Dual connectivity needs no signs: an unsigned walk over top-simplex
-    # positions, joined across the faces with two cofaces.
-    adjacent: list[list[int]] = [[] for _ in top]
-    for p, q, c in zip(first, second, count):
-        if c == 2:
-            s, t = p // width, q // width
-            adjacent[s].append(t)
-            adjacent[t].append(s)
+    # Dual connectivity needs no signs: an unsigned walk over top-simplex positions
+    # across each two-slot face, slot p to the other (at n = 0, `at` is empty).
     connected = False
     if top:
         seen = [False] * len(top)
         seen[0] = True
         queue = [0]
         for s in queue:
-            for t in adjacent[s]:
-                if not seen[t]:
-                    seen[t] = True
-                    queue.append(t)
+            p = width * s
+            for f in at[p:p + width]:
+                if count[f] == 2:
+                    t = (first[f] + second[f] - p) // width
+                    if not seen[t]:
+                        seen[t] = True
+                        queue.append(t)
+                p += 1
         connected = len(queue) == len(top)
     return ManifoldReport(n, pure, two, connected)
 

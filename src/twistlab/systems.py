@@ -217,10 +217,17 @@ def tensor_systems(G: LocalSystem, H: LocalSystem) -> LocalSystem:
         raise RingMismatchError("tensor of systems over different bases")
     if G.ring != H.ring:
         raise RingMismatchError("tensor of systems over different rings")
-    transports = {
-        e: _kronecker(G.transport(e), H.transport(e))
-        for e in G.base.simplices(1)
-    }
+    # One product per distinct pair of transport objects, shared by its edges:
+    # a constant or sign system shares one matrix per value, and so does
+    # their tensor, so its flatness is checked once per triple of values.
+    products = {}
+    transports = {}
+    for e in G.base.simplices(1):
+        A, B = G.transport(e), H.transport(e)
+        key = id(A), id(B)
+        if key not in products:
+            products[key] = _kronecker(A, B)
+        transports[e] = products[key]
     return LocalSystem(
         f"{G.name}(x){H.name}", G.base, G.ring, G.rank * H.rank, transports
     )
@@ -256,7 +263,13 @@ def cast_system(G: LocalSystem, ring: Ring) -> LocalSystem:
     """Re-read an integer system over Q or F_p (transports stay invertible)."""
     if G.ring == ring:
         return G
-    transports = {e: T.cast(ring) for e, T in G.transports.items()}
+    # One cast per distinct transport object, shared by its edges as in G.
+    casts = {}
+    transports = {}
+    for e, T in G.transports.items():
+        if id(T) not in casts:
+            casts[id(T)] = T.cast(ring)
+        transports[e] = casts[id(T)]
     return LocalSystem(f"{G.name}@{ring.token}", G.base, ring, G.rank, transports)
 
 

@@ -85,7 +85,8 @@ def cofaces(K: tl.DeltaComplex, k: int) -> dict[str, list[tuple[str, int]]]:
 def build_complex(name: str, entries) -> tl.DeltaComplex:
     """A complex from (dimension, name, faces) entries, each checked for its
     dimension, face count, faces and name, with the face identities left
-    unchecked: how tests build a complex that fails them."""
+    unchecked: how tests build a complex that fails them.  Each face entry is
+    the object given, not its simplex's own name as `parse_complex` stores."""
     faces_of, dims, by_dim, index = {}, {}, {}, {}
     for dim, nm, faces in entries:
         if dim < 0:
@@ -110,8 +111,7 @@ def build_complex(name: str, entries) -> tl.DeltaComplex:
         level.append(nm)
         if len(dims) > complexes.MAX_SIMPLICES:
             raise CapacityError(f"more than {complexes.MAX_SIMPLICES} simplices")
-    return tl.DeltaComplex(name, faces_of, dims, {k: tuple(v) for k, v in by_dim.items()},
-                           index)
+    return tl.DeltaComplex(name, faces_of, {k: tuple(v) for k, v in by_dim.items()}, index)
 
 
 def sign_systems_of(name: str) -> list:

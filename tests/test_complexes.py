@@ -1,5 +1,6 @@
 import random
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -55,9 +56,15 @@ def test_faces_of_an_unknown_simplex_names_it():
     (lambda K: K.edge_ends("nope"), "no simplex 'nope'"),
     (lambda K: K.edge_ends("U"), "simplex 'U' of complex 'torus' is not an edge"),
     (lambda K: K.edge_ends("v"), "simplex 'v' of complex 'torus' is not an edge"),
+    (lambda K: K.faces_along(["U", "nope"], (0,)), "no simplex 'nope'"),
+    (lambda K: K.faces_along(["L", "U"], (5,)), "simplex 'L' of complex 'torus' has no face 5"),
+    (lambda K: K.faces_along(K.simplices(0), (0,)),
+     "simplex 'v' of complex 'torus' has no face 0"),
+    (lambda K: K.faces_along(["U"], (2, 0, 0)), "simplex 'v' of complex 'torus' has no face 0"),
 ], ids=["dim_of", "face", "index_of", "range_face", "subset_face", "vertex",
         "vertices", "front_edge", "face_index", "negative_face_index", "edge_ends",
-        "edge_ends_of_a_triangle", "edge_ends_of_a_vertex"])
+        "edge_ends_of_a_triangle", "edge_ends_of_a_vertex", "faces_along",
+        "faces_along_face_index", "faces_along_of_a_vertex", "faces_along_past_a_vertex"])
 def test_accessors_name_a_missing_simplex_or_face(call, message):
     with pytest.raises(ValidationError, match=message):
         call(load_complex("torus"))
@@ -464,6 +471,17 @@ def assert_same_tables(K, R):
         assert_same_coface_table(K, R)
 
 
+def assert_each_name_held_once(K):
+    """Every face entry is the very name object its dimension lists, so the
+    distinct strings reachable from K's tables are exactly its simplices."""
+    for k in range(1, K.dimension + 1):
+        below = set(map(id, K.simplices(k - 1)))
+        assert all(id(f) in below for nm in K.simplices(k) for f in K.faces(nm))
+    held = set(map(id, chain(K._faces, chain.from_iterable(K._faces.values()),
+                             K.all_simplices(), K._index)))
+    assert len(held) == sum(K.counts())
+
+
 def _bench_texts():
     # Small members of each benchmark family, n = 1 and 2 included: there
     # vertices repeat inside a simplex.
@@ -518,6 +536,7 @@ def test_face_tables_match_the_simplex_reference(text):
     K = tl.parse_complex(text)
     R = ref_parse_complex(text)
     assert_same_tables(K, R)
+    assert_each_name_held_once(K)
     assert_same_tables(build_complex(K.name, entries_of(text)),
                        ref_build_complex(R.name, entries_of(text)))
 

@@ -590,6 +590,24 @@ def test_an_orientation_system_checks_at_most_eight_triples(monkeypatch):
     assert 1 <= len(calls) <= 8
 
 
+def test_tensor_and_cast_share_one_transport_per_value(monkeypatch):
+    # w is -1 on some edges of a Klein bottle and +1 on the others, so G (x) w
+    # for a constant G takes two values; each is one object shared by its
+    # edges, and flatness costs one product per triple of those objects.
+    K = tl.parse_complex(klein_bottle(12, 12).text())
+    w = tl.orientation_system(K)
+    G = tl.constant_system(K, 2, tl.Z)
+    calls = _count_products(monkeypatch)
+    Gw = tl.tensor_systems(G, w)
+    assert 1 <= len(calls) <= 8
+    minus = tl.Matrix.identity(tl.Z, 2).neg()
+    for e in K.simplices(1):
+        assert Gw.transport(e) == (minus if w.transport(e).entry(0, 0) == -1
+                                   else tl.Matrix.identity(tl.Z, 2))
+    for S in (Gw, tl.cast_system(w, tl.Q), tl.cast_system(Gw, tl.prime_field(3))):
+        assert len({id(T) for T in S.transports.values()}) == 2
+
+
 def test_the_first_non_flat_triangle_is_named_after_flat_ones(monkeypatch):
     # A fan of four triangles T_i = [c, p_i, p_{i+1}].  Only T3 has the edge
     # c -> p4 (its face 1), so -1 there and the shared identity elsewhere
