@@ -21,6 +21,7 @@ from twistlab import (
     parse_complex,
     pseudomanifold_check,
 )
+from twistlab.complexes import face_path
 from twistlab.errors import TwistlabError
 
 
@@ -103,16 +104,12 @@ def build_candidate(matching):
 
 
 def link_euler(K, v):
-    ends = sum(
-        1 for e in K.simplices(1) for i in (0, 1) if K.vertices(e)[i] == v
-    )
-    tri_corners = sum(
-        1 for t in K.simplices(2) for m in range(3) if K.vertex(t, m) == v
-    )
-    tet_corners = sum(
-        1 for s in K.simplices(3) for m in range(4) if K.vertex(s, m) == v
-    )
-    return ends - tri_corners + tet_corners
+    def corners(k):
+        # How often v is vertex e_m of a k-simplex, over every m.
+        return sum(K.faces_along(K.simplices(k), face_path(k, (m,))).count(v)
+                   for m in range(k + 1))
+
+    return corners(1) - corners(2) + corners(3)
 
 
 def main():

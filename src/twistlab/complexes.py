@@ -5,6 +5,10 @@ the (k-1)-simplex opposite vertex e_i.  Repeated-vertex gluings are allowed,
 so one-vertex models of the torus, Klein bottle, etc. are valid inputs.  A
 complex is a few plain tables that `parse_complex` fills in one pass over the
 document's lines; the checks and walks read them a whole dimension at a time.
+Only this module reads the tables: elsewhere faces are walked with
+`DeltaComplex.faces_along` along a `face_path`, names become matrix positions
+through `DeltaComplex.index_of`, and cofaces are read from
+`DeltaComplex.coface_table`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from functools import cache
 from itertools import chain
 from operator import itemgetter
 
-from .errors import CapacityError, ParseError, TwistlabError, ValidationError
+from .errors import CapacityError, ParseError, ValidationError
 
 MAX_DIMENSION = 8
 MAX_SIMPLICES = 100000
@@ -26,10 +30,10 @@ class DeltaComplex:
     Its tables, filled by `parse_complex`, hold each name once: name -> tuple of
     the faces' own names (`_faces`, which fixes dimensions), dimension -> names
     in input order (`_by_dim`) and name -> position within its dimension
-    (`_index`, fixing matrix bases).  `pseudomanifold_check` adds the coface
-    table of the top dimension n (`_cofaces`): three lists indexed by the
-    position f of an (n-1)-simplex, its first and second slots p = (n+1)*s + i
-    (face i of the top simplex at position s), -1 where none, and its slot count."""
+    (`_index`, fixing matrix bases, read through `index_of`).  `faces_along` is
+    the one walk down the face maps, a whole list of simplices at a time.
+    `pseudomanifold_check` adds the coface table of the top dimension
+    (`_cofaces`, read through `coface_table`)."""
 
     def __init__(self, name: str, faces: dict, by_dim: dict, index: dict):
         self.name = name
@@ -94,38 +98,19 @@ class DeltaComplex:
     def counts(self) -> tuple[int, ...]:
         return tuple(len(self.simplices(k)) for k in range(self.dimension + 1))
 
-    def range_face(self, name: str, a: int, b: int) -> str:
-        """The face spanned by vertices e_a..e_b (iterated face maps)."""
-        d = self.dim_of(name)
-        if not (0 <= a <= b <= d):
-            raise TwistlabError(f"bad vertex range [{a}, {b}] on {name!r}")
-        cur = name
-        for i in range(d, b, -1):
-            cur = self._faces[cur][i]
-        for _ in range(a):
-            cur = self._faces[cur][0]
-        return cur
-
-    def subset_face(self, name: str, keep) -> str:
-        """The face spanned by a nonempty set of vertex indices."""
-        d = self.dim_of(name)
-        keep_set = set(keep)
-        if not keep_set or min(keep_set) < 0 or max(keep_set) > d:
-            raise TwistlabError(f"bad vertex indices {sorted(keep_set)} on {name!r}")
-        cur = name
-        # Going down, face i of the current face still drops original vertex i.
-        for i in range(d, -1, -1):
-            if i not in keep_set:
-                cur = self._faces[cur][i]
-        return cur
-
     def faces_along(self, names, path: tuple[int, ...]) -> list[str]:
-        """`subset_face` for every one of names, all of one dimension, along
-        the path from `face_path`: one pass over the face table per step."""
+        """The face of each of names, all of one dimension, reached by taking
+        face path[0], then face path[1] of that, and so on: one pass over the
+        face table per step.  With path = `face_path(d, keep)`,
+        `faces_along([nm], path)[0]` is the face of the d-simplex nm spanned by
+        its vertices e_i, i in keep: its vertex e_m for keep = (m,), its front
+        edge for (0, 1)."""
         get = self._faces.__getitem__
         out = list(names)
         try:
             for i in path:
+                if i < 0 and out:
+                    self.face(out[0], i)  # refuses i, which Python reads from the end
                 out = list(map(itemgetter(i), map(get, out)))
         except KeyError as exc:
             raise self._no_simplex(exc.args[0]) from None
@@ -133,15 +118,15 @@ class DeltaComplex:
             raise self._no_face(next(nm for nm in out if len(get(nm)) <= i), i) from None
         return out
 
-    def vertex(self, name: str, m: int) -> str:
-        return self.range_face(name, m, m)
-
-    def vertices(self, name: str) -> tuple[str, ...]:
-        return tuple(self.vertex(name, m) for m in range(self.dim_of(name) + 1))
-
-    def front_edge(self, name: str) -> str:
-        """The [e_0, e_1] edge of a simplex of dimension >= 1."""
-        return self.range_face(name, 0, 1)
+    def coface_table(self) -> tuple[list[int], list[int], list[int]] | None:
+        """The coface table of the top dimension n, which `pseudomanifold_check`
+        builds and keeps (run here if it has not been): for each (n-1)-simplex
+        position f, its first and second slots p = (n+1)*s + i (face i of the
+        top simplex at position s), -1 where none, and its slot count.  None
+        for the empty complex."""
+        if self._cofaces is None:
+            pseudomanifold_check(self)
+        return self._cofaces
 
     def edge_ends(self, edge: str) -> tuple[str, str]:
         """(tail, head) = (sigma(e_0), sigma(e_1)) of a 1-simplex."""
@@ -154,7 +139,7 @@ class DeltaComplex:
 @cache
 def face_path(d: int, keep) -> tuple[int, ...]:
     """The face indices that lead from a d-simplex to its face on the vertex
-    indices in keep (a hashable container), the walk `subset_face` makes:
+    indices in keep (a hashable container), for `DeltaComplex.faces_along`:
     going down, face i of the current face still drops original vertex i.
     Worked out once per dimension and vertex set."""
     return tuple(i for i in range(d, -1, -1) if i not in keep)
@@ -406,7 +391,7 @@ def pseudomanifold_check(K: DeltaComplex) -> ManifoldReport:
     top simplices are one component when joined across faces with two cofaces.
 
     The complex is immutable, so the report is computed once and kept on it,
-    next to the coface table the check builds (`DeltaComplex._cofaces`)."""
+    next to the coface table the check builds (`DeltaComplex.coface_table`)."""
     if K._manifold_report is None:
         K._manifold_report = _check_pseudomanifold(K)
     return K._manifold_report

@@ -77,7 +77,7 @@ def fundamental_class(K: DeltaComplex, w: LocalSystem) -> FundamentalClass:
     rest = [-1 if i % 2 else 1 for i in range(1, width)]
     coef = [c for e in K.faces_along(top, face_path(n, (0, 1)))
             for c in (transports[e].entry(0, 0), *rest)]
-    first, second, _ = K._cofaces
+    first, second, _ = K.coface_table()
     ties: list[list[tuple[int, int]]] = [[] for _ in top]
     for p, q in zip(first, second):
         s, t = p // width, q // width
@@ -113,22 +113,25 @@ def _cap_matrix(K: DeltaComplex, G: LocalSystem, H: LocalSystem, k: int, m: int,
         raise TwistlabError(
             f"cap product needs a chain of length {len(m_simplices) * dH}, not {len(chain)}"
         )
-    out_idx = {nm: i for i, nm in enumerate(K.simplices(m - k))}
-    k_idx = {nm: i for i, nm in enumerate(K.simplices(k))}
+    # Each m-simplex's back face [e_{m-k}..e_m], front face [e_0..e_{m-k}] and
+    # carry edge [e_0, e_{m-k}], a whole level per walk.
+    backs = K.faces_along(m_simplices, face_path(m, tuple(range(m - k, m + 1))))
+    fronts = K.faces_along(m_simplices, face_path(m, tuple(range(m - k + 1))))
+    carries = K.faces_along(m_simplices, face_path(m, (0, m - k))) if m > k else None
     add, mul, zero = ring.add, ring.mul, ring.zero()
-    rows = [{} for _ in range(len(out_idx) * dG * dH)]
+    rows = [{} for _ in range(len(K.simplices(m - k)) * dG * dH)]
     sign = -1 if (k * (m - k)) % 2 else 1
     ident = Matrix.identity(ring, dG)
-    for si, nm in enumerate(m_simplices):
+    for si in range(len(m_simplices)):
         u = chain[si * dH : (si + 1) * dH]
         if not any(u):
             continue
         if sign == -1:
             u = [ring.neg(x) for x in u]
         # The block at (front face, back face) gains sign * (T^-1 (x) u).
-        back = k_idx[K.range_face(nm, m - k, m)] * dG
-        front = out_idx[K.range_face(nm, 0, m - k)] * dG * dH
-        carry = G.transport_inverse(K.subset_face(nm, (0, m - k))) if m > k else ident
+        back = K.index_of(backs[si]) * dG
+        front = K.index_of(fronts[si]) * dG * dH
+        carry = G.transport_inverse(carries[si]) if m > k else ident
         for i, trow in enumerate(carry.entries):
             for j, uj in enumerate(u):
                 if uj:
@@ -136,7 +139,7 @@ def _cap_matrix(K: DeltaComplex, G: LocalSystem, H: LocalSystem, k: int, m: int,
                     for col, t in trow.items():
                         row[back + col] = add(row.get(back + col, zero), mul(t, uj))
     rows = [row if all(row.values()) else {j: x for j, x in row.items() if x} for row in rows]
-    return Matrix.sparse(ring, rows, len(k_idx) * dG)
+    return Matrix.sparse(ring, rows, len(K.simplices(k)) * dG)
 
 
 def cap_product(K: DeltaComplex, G: LocalSystem, H: LocalSystem, k: int,

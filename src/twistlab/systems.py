@@ -79,11 +79,11 @@ class LocalSystem:
         # A constant or sign system shares one matrix per value, so flatness
         # is checked once per distinct triple of transport objects; the first
         # non-flat 2-simplex is still the one named.
-        transports = self.transports
-        faces = self.base._faces
+        get = self.transports.__getitem__
+        triangles = self.base.simplices(2)
+        cols = [map(get, self.base.faces_along(triangles, (i,))) for i in range(3)]
         flat = set()
-        for t in self.base.simplices(2):
-            t0, t1, t2 = map(transports.__getitem__, faces[t])
+        for t, t0, t1, t2 in zip(triangles, *cols):
             triple = (id(t0), id(t1), id(t2))
             if triple in flat:
                 continue
@@ -320,7 +320,7 @@ def orientation_system(K: DeltaComplex) -> LocalSystem:
     # corner of s.
     kept = [[m for m in range(width) if m != i] for i in range(width)]
     corner_edges: list[list[tuple[int, int]]] = [[] for _ in range(width * len(top))]
-    first, second, _ = K._cofaces
+    first, second, _ = K.coface_table()
     for p1, p2 in zip(first, second):
         i1, i2 = p1 % width, p2 % width
         sign = _signed_coface_key(i1, i2)
@@ -394,8 +394,8 @@ def is_trivializable(G: LocalSystem):
     vertices = K.simplices(0)
     names = K.simplices(1)
     # Face 0 of an edge is its head and face 1 its tail, read as vertex positions.
-    heads = map(K._index.__getitem__, K.faces_along(names, (0,)))
-    tails = map(K._index.__getitem__, K.faces_along(names, (1,)))
+    heads = map(K.index_of, K.faces_along(names, (0,)))
+    tails = map(K.index_of, K.faces_along(names, (1,)))
     edges: list[list[tuple[int, int]]] = [[] for _ in vertices]
     for head, tail, t in zip(heads, tails, signs):
         edges[tail].append((head, t))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import DeltaComplex, SubcomplexPair
+from .complexes import DeltaComplex, SubcomplexPair, face_path
 from .errors import TwistlabError, ValidationError
 from .homology import (
     ChainMapData,
@@ -87,8 +87,9 @@ def _diffs(K, G, basis_names, direction):
         rows = [{} for _ in range(ns if cochain else nf)]
         flip = cochain and k % 2 == 0
         # Every layer C(K^k, K^{k-1}) keeps no face of its degree-k simplices.
-        for sj, nm in enumerate(names if face_names else ()):
-            edge = K.front_edge(nm)
+        level = names if face_names else ()
+        edges = K.faces_along(level, face_path(k, (0, 1)))
+        for sj, (nm, edge) in enumerate(zip(level, edges)):
             T = G.transport_inverse(edge) if cochain else G.transport(edge)
             for i, f in enumerate(K.faces(nm)):
                 fi = face_idx.get(f)
@@ -160,13 +161,13 @@ def induced_chain_map(f: SimplicialMap, G: LocalSystem):
     chain_mats = {}
     one = ring.one()
     for k in range(f.domain.dimension + 1):
-        # Column cj * d + t holds a 1 in row ri * d + t, ri the image of
-        # source simplex cj, unless the image is degenerate.
+        # Column cj * d + t holds a 1 in row ri * d + t, ri the position of the
+        # image of source simplex cj in the codomain, whose order tgt's basis
+        # keeps, unless the image is degenerate.
         cols = []
-        tgt_idx = {nm: i for i, nm in enumerate(tgt.basis_names(k))}
         for nm in src.basis_names(k):
             a = f.assignments[nm]
-            ri = None if a.degenerate else tgt_idx[a.image]
+            ri = None if a.degenerate else f.codomain.index_of(a.image)
             cols += [{} if ri is None else {ri * d + t: one} for t in range(d)]
         chain_mats[k] = Matrix.sparse(ring, cols, tgt.rank(k)).transpose()
     chains = ChainMapData(f"{f.name}_*", src, tgt, chain_mats, 1)

@@ -6,7 +6,7 @@ import pytest
 
 import twistlab as tl
 from twistlab import complexes
-from twistlab.errors import CapacityError, ValidationError
+from twistlab.errors import CapacityError, TwistlabError, ValidationError
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -80,6 +80,47 @@ def cofaces(K: tl.DeltaComplex, k: int) -> dict[str, list[tuple[str, int]]]:
         for i, f in enumerate(K.faces(nm)):
             out[f].append((nm, i))
     return out
+
+
+# The per-simplex face walks, one simplex and one face map at a time: the
+# reference that DeltaComplex.faces_along, the library's one walk, is checked
+# against.
+
+
+def range_face(K: tl.DeltaComplex, name: str, a: int, b: int) -> str:
+    """The face of name spanned by vertices e_a..e_b (iterated face maps)."""
+    d = K.dim_of(name)
+    if not (0 <= a <= b <= d):
+        raise TwistlabError(f"bad vertex range [{a}, {b}] on {name!r}")
+    cur = name
+    for i in range(d, b, -1):
+        cur = K.faces(cur)[i]
+    for _ in range(a):
+        cur = K.faces(cur)[0]
+    return cur
+
+
+def subset_face(K: tl.DeltaComplex, name: str, keep) -> str:
+    """The face of name spanned by a nonempty set of vertex indices."""
+    d = K.dim_of(name)
+    keep_set = set(keep)
+    if not keep_set or min(keep_set) < 0 or max(keep_set) > d:
+        raise TwistlabError(f"bad vertex indices {sorted(keep_set)} on {name!r}")
+    cur = name
+    # Going down, face i of the current face still drops original vertex i.
+    for i in range(d, -1, -1):
+        if i not in keep_set:
+            cur = K.faces(cur)[i]
+    return cur
+
+
+def vertex(K: tl.DeltaComplex, name: str, m: int) -> str:
+    return range_face(K, name, m, m)
+
+
+def front_edge(K: tl.DeltaComplex, name: str) -> str:
+    """The [e_0, e_1] edge of a simplex of dimension >= 1."""
+    return range_face(K, name, 0, 1)
 
 
 def build_complex(name: str, entries) -> tl.DeltaComplex:

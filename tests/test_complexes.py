@@ -1,24 +1,29 @@
+import ast
 import random
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
 
 import twistlab as tl
 from twistlab import complexes
+from twistlab.complexes import face_path
 from twistlab.errors import CapacityError, ParseError, TwistlabError, ValidationError
 
 from conftest import (
     ALL_COMPLEXES,
     FIXTURES,
     MANIFOLDS,
+    ROOT,
     build_complex,
     cofaces,
     fixture_text,
     load_complex,
+    range_face,
     skeleton_pair,
     subcomplex_as_complex,
+    subset_face,
 )
 from inputs import klein_bottle, kuhn_torus
 
@@ -46,11 +51,13 @@ def test_faces_of_an_unknown_simplex_names_it():
     (lambda K: K.dim_of("nope"), "no simplex 'nope'"),
     (lambda K: K.face("nope", 0), "no simplex 'nope'"),
     (lambda K: K.index_of("nope"), "no simplex 'nope'"),
-    (lambda K: K.range_face("nope", 0, 0), "no simplex 'nope'"),
-    (lambda K: K.subset_face("nope", (0,)), "no simplex 'nope'"),
-    (lambda K: K.vertex("nope", 0), "no simplex 'nope'"),
-    (lambda K: K.vertices("nope"), "no simplex 'nope'"),
-    (lambda K: K.front_edge("nope"), "no simplex 'nope'"),
+    # The next five walk the paths of the per-simplex walks they are named after.
+    (lambda K: K.faces_along(["nope"], face_path(2, (1, 2))), "no simplex 'nope'"),
+    (lambda K: K.faces_along(["nope"], face_path(2, (0, 2))), "no simplex 'nope'"),
+    (lambda K: K.faces_along(["nope"], face_path(2, (0,))), "no simplex 'nope'"),
+    (lambda K: [K.faces_along(["nope"], face_path(2, (m,))) for m in range(3)],
+     "no simplex 'nope'"),
+    (lambda K: K.faces_along(["nope"], face_path(2, (0, 1))), "no simplex 'nope'"),
     (lambda K: K.face("U", 7), "simplex 'U' of complex 'torus' has no face 7"),
     (lambda K: K.face("U", -1), "simplex 'U' of complex 'torus' has no face -1"),
     (lambda K: K.edge_ends("nope"), "no simplex 'nope'"),
@@ -61,10 +68,12 @@ def test_faces_of_an_unknown_simplex_names_it():
     (lambda K: K.faces_along(K.simplices(0), (0,)),
      "simplex 'v' of complex 'torus' has no face 0"),
     (lambda K: K.faces_along(["U"], (2, 0, 0)), "simplex 'v' of complex 'torus' has no face 0"),
+    (lambda K: K.faces_along(["U"], (-1,)), "simplex 'U' of complex 'torus' has no face -1"),
 ], ids=["dim_of", "face", "index_of", "range_face", "subset_face", "vertex",
         "vertices", "front_edge", "face_index", "negative_face_index", "edge_ends",
         "edge_ends_of_a_triangle", "edge_ends_of_a_vertex", "faces_along",
-        "faces_along_face_index", "faces_along_of_a_vertex", "faces_along_past_a_vertex"])
+        "faces_along_face_index", "faces_along_of_a_vertex", "faces_along_past_a_vertex",
+        "faces_along_negative_face_index"])
 def test_accessors_name_a_missing_simplex_or_face(call, message):
     with pytest.raises(ValidationError, match=message):
         call(load_complex("torus"))
@@ -104,18 +113,82 @@ def test_validate_face_identity_exhaustive():
 
 def test_vertex_table():
     K = load_complex("disk")
-    assert K.vertices("T") == ("u", "v", "w")
-    assert K.vertices("a") == ("v", "w")
-    assert K.front_edge("T") == "c"
-    assert K.subset_face("T", (0, 2)) == "b"
+    assert [K.faces_along(["T"], face_path(2, (m,))) for m in range(3)] == [["u"], ["v"], ["w"]]
+    assert [K.faces_along(["a"], face_path(1, (m,))) for m in range(2)] == [["v"], ["w"]]
+    assert K.faces_along(["T"], face_path(2, (0, 1))) == ["c"]
+    assert K.faces_along(["T"], face_path(2, (0, 2))) == ["b"]
 
 
 @pytest.mark.parametrize("keep", [(0, 5), (-1, 1), (3,), ()],
                          ids=["index_5", "index_-1", "index_3", "empty"])
 def test_subset_face_rejects_bad_vertex_indices(keep):
-    # U is a triangle, so its vertex indices are 0, 1 and 2.
+    # The reference walk checks its vertex indices; U is a triangle, so they
+    # are 0, 1 and 2.
     with pytest.raises(TwistlabError, match=r"bad vertex indices .* on 'U'"):
-        load_complex("torus").subset_face("U", keep)
+        subset_face(load_complex("torus"), "U", keep)
+
+
+def _walk_complexes():
+    yield from ((name, load_complex(name)) for name in ALL_COMPLEXES)
+    # n = 1 and 2 repeat vertices inside a simplex.
+    for G in (kuhn_torus(1, 2), kuhn_torus(3, 2), klein_bottle(3, 3), kuhn_torus(1, 3),
+              kuhn_torus(2, 3)):
+        G.shuffle(random.Random(G.name))
+        yield G.name, tl.parse_complex(G.text())
+
+
+def _walk_mismatches(walk):
+    """The (complex, d, keep) cases, over every d >= 1 and every nonempty keep,
+    where walk(K, the d-simplices, face_path(d, keep)) is not the per-simplex
+    walk's answer: subset_face, and range_face too where keep is a range."""
+    bad = []
+    for label, K in _walk_complexes():
+        for d in range(1, K.dimension + 1):
+            level = K.simplices(d)
+            for keep in chain.from_iterable(combinations(range(d + 1), r)
+                                            for r in range(1, d + 2)):
+                wants = [[subset_face(K, nm, keep) for nm in level]]
+                if keep == tuple(range(keep[0], keep[-1] + 1)):
+                    wants.append([range_face(K, nm, keep[0], keep[-1]) for nm in level])
+                try:
+                    got = walk(K, level, face_path(d, keep))
+                except ValidationError:
+                    got = None
+                if any(got != want for want in wants):
+                    bad.append((label, d, keep))
+    return bad
+
+
+def test_faces_along_matches_the_per_simplex_walks():
+    assert _walk_mismatches(lambda K, names, path: K.faces_along(names, path)) == []
+
+
+@pytest.mark.parametrize("walk", [
+    lambda K, names, path: K.faces_along(names, path[::-1]),
+    lambda K, names, path: K.faces_along(names, path[:-1]),
+], ids=["reversed_path", "last_step_dropped"])
+def test_the_walk_comparison_catches_a_wrong_walk(walk):
+    assert _walk_mismatches(walk)
+
+
+def test_only_complexes_reads_the_face_tables():
+    tables = {"_faces", "_index", "_by_dim", "_cofaces"}
+    readers = set()
+    for path in sorted((ROOT / "src" / "twistlab").glob("*.py")):
+        if path.name == "complexes.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in tables:
+                readers.add(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not readers, sorted(readers)
+
+
+def test_coface_table_runs_the_check_it_needs():
+    for name in MANIFOLDS:
+        text = fixture_text(f"{name}.cx")
+        checked = tl.parse_complex(text)
+        tl.pseudomanifold_check(checked)
+        assert tl.parse_complex(text).coface_table() == checked._cofaces, name
 
 
 def test_build_complex_says_a_vertex_takes_no_faces():

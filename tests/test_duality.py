@@ -12,7 +12,9 @@ from conftest import (
     load_complex,
     load_system,
     random_flat_system,
+    range_face,
     sign_systems_of,
+    subset_face,
 )
 
 
@@ -151,11 +153,11 @@ def per_simplex_cap(K, G, H, k, cochain, m, chain):
     sign = -1 if (k * (m - k)) % 2 else 1
     for si, nm in enumerate(K.simplices(m)):
         u = chain[si * dH : (si + 1) * dH]
-        back = k_idx[K.range_face(nm, m - k, m)]
+        back = k_idx[range_face(K, nm, m - k, m)]
         cval = cochain[back * dG : (back + 1) * dG]
         if m > k:
-            cval = G.transport_inverse(K.subset_face(nm, (0, m - k))).mul_vec(cval)
-        base = out_idx[K.range_face(nm, 0, m - k)] * dG * dH
+            cval = G.transport_inverse(subset_face(K, nm, (0, m - k))).mul_vec(cval)
+        base = out_idx[range_face(K, nm, 0, m - k)] * dG * dH
         for t, x in enumerate([ring.mul(a, b) for a in cval for b in u]):
             out[base + t] = ring.add(out[base + t], x if sign == 1 else ring.neg(x))
     return out

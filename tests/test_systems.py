@@ -11,11 +11,14 @@ from conftest import (
     ORIENTABLE,
     cofaces,
     fixture_text,
+    front_edge,
     load_complex,
     load_system,
     random_flat_system,
     random_gauge,
     sign_systems_of,
+    subset_face,
+    vertex,
 )
 from inputs import klein_bottle, kuhn_torus
 
@@ -373,7 +376,7 @@ def quadratic_orientation_signs(K) -> dict:
             corner_edges[c2].append((c1, sign))
     corner_sign = {}
     for v in K.simplices(0):
-        corners = [(s, m) for s in top for m in range(n + 1) if K.vertex(s, m) == v]
+        corners = [(s, m) for s in top for m in range(n + 1) if vertex(K, s, m) == v]
         local = {corners[0]: 1}
         queue = [corners[0]]
         while queue:
@@ -387,7 +390,7 @@ def quadratic_orientation_signs(K) -> dict:
     for e in K.simplices(1):
         s, a, b = next(
             (s, a, b) for s in top for a in range(n + 1) for b in range(a + 1, n + 1)
-            if K.subset_face(s, (a, b)) == e
+            if subset_face(K, s, (a, b)) == e
         )
         signs[e] = corner_sign[(s, a)] * corner_sign[(s, b)]
     return signs
@@ -494,7 +497,7 @@ def reference_fundamental_class(K, w):
 
     def coef(simplex, face_index):
         if face_index == 0:
-            return w.transport(K.front_edge(simplex)).rows[0][0]
+            return w.transport(front_edge(K, simplex)).rows[0][0]
         return -1 if face_index % 2 else 1
 
     unit = {top[0]: 1}
