@@ -26,11 +26,10 @@ from .homology import (
     ModulePresentation,
     exactness_check,
     induced_map_on_homology,
-    is_presentation_iso,
     is_quasi_iso,
     mapping_cone,
 )
-from .maps import SimplicialMap, identity_map, parse_map
+from .maps import SimplicialMap, parse_map
 from .matrices import Matrix, kernel_basis, smith_diagonal, smith_normal_form, solve
 from .rings import Q, Z, prime_field, ring_from_token
 from .systems import (
@@ -43,7 +42,6 @@ from .systems import (
     orientation_system,
     parse_system,
     pullback_system,
-    sign_systems,
     tensor_systems,
 )
 from .twisted import (

@@ -107,6 +107,8 @@ class DeltaComplex:
         edge for (0, 1)."""
         get = self._faces.__getitem__
         out = list(names)
+        if not path and not all(map(self._faces.__contains__, out)):
+            raise self._no_simplex(next(nm for nm in out if nm not in self._faces))
         try:
             for i in path:
                 if i < 0 and out:
@@ -118,12 +120,11 @@ class DeltaComplex:
             raise self._no_face(next(nm for nm in out if len(get(nm)) <= i), i) from None
         return out
 
-    def coface_table(self) -> tuple[list[int], list[int], list[int]] | None:
+    def coface_table(self) -> tuple[list[int], list[int], list[int]]:
         """The coface table of the top dimension n, which `pseudomanifold_check`
         builds and keeps (run here if it has not been): for each (n-1)-simplex
         position f, its first and second slots p = (n+1)*s + i (face i of the
-        top simplex at position s), -1 where none, and its slot count.  None
-        for the empty complex."""
+        top simplex at position s), -1 where none, and its slot count."""
         if self._cofaces is None:
             pseudomanifold_check(self)
         return self._cofaces
@@ -400,6 +401,7 @@ def pseudomanifold_check(K: DeltaComplex) -> ManifoldReport:
 def _check_pseudomanifold(K: DeltaComplex) -> ManifoldReport:
     n = K.dimension
     if n < 0:
+        K._cofaces = ([], [], [])  # no (n-1)-simplices
         return ManifoldReport(n, False, False, False)
     top = K.simplices(n)
     width = n + 1

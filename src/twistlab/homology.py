@@ -223,16 +223,6 @@ def zero_presentation(ring: Ring, ambient_dim: int = 0) -> ModulePresentation:
                               Matrix.zeros(ring, ambient_dim, 0))
 
 
-def free_presentation(ring: Ring, rank: int) -> ModulePresentation:
-    return ModulePresentation(ring, rank, (), rank, Matrix.identity(ring, rank))
-
-
-def torsion_presentation(ring: Ring, invariants, rank: int = 0) -> ModulePresentation:
-    n = rank + len(invariants)
-    return ModulePresentation(ring, rank, tuple(invariants), n,
-                              Matrix.identity(ring, n))
-
-
 @dataclass
 class _QuotientContext:
     col_ops: list            # column log of the differential's SNF: V and V^-1
@@ -393,22 +383,6 @@ def mapping_cone(F: ChainMapData) -> FreeComplex:
 
 def is_quasi_iso(F: ChainMapData) -> bool:
     return mapping_cone(F).is_acyclic()
-
-
-def is_presentation_iso(M: Matrix, src: ModulePresentation,
-                        tgt: ModulePresentation) -> bool:
-    """Whether M: src -> tgt is an isomorphism of finitely generated modules."""
-    ring = src.ring
-    z = zero_presentation(ring)
-    report = exactness_check(
-        [z, src, tgt, z],
-        [
-            Matrix.zeros(ring, src.generators, 0),
-            M,
-            Matrix.zeros(ring, 0, tgt.generators),
-        ],
-    )
-    return report.all_exact
 
 
 # -- exactness of assembled sequences ----------------------------------

@@ -93,35 +93,6 @@ def _validate_map(m: SimplicialMap):
                 )
 
 
-def identity_map(K: DeltaComplex) -> SimplicialMap:
-    assignments = {nm: Assignment(nm, None) for nm in K.all_simplices()}
-    return SimplicialMap("id", K, K, assignments)
-
-
-def compose(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
-    """g after f."""
-    if not f.codomain.same_complex(g.domain):
-        raise ValidationError("composition domain/codomain mismatch")
-    assignments = {}
-    for nm in f.domain.all_simplices():
-        a = f.assignments[nm]
-        b = g.assignments[a.image]
-        if a.surjection is None and b.surjection is None:
-            assignments[nm] = Assignment(b.image, None)
-        elif a.surjection is None:
-            assignments[nm] = b
-        else:
-            if b.surjection is None:
-                comp = a.surjection
-            else:
-                comp = tuple(b.surjection[x] for x in a.surjection)
-            if comp == tuple(range(len(comp))):
-                assignments[nm] = Assignment(b.image, None)
-            else:
-                assignments[nm] = Assignment(b.image, comp)
-    return SimplicialMap(f"{g.name}*{f.name}", f.domain, g.codomain, assignments)
-
-
 def parse_map(text: str, domain: DeltaComplex, codomain: DeltaComplex) -> SimplicialMap:
     name = None
     assignments = {}

@@ -155,9 +155,14 @@ def parse_system(text: str, K: DeltaComplex) -> LocalSystem:
             name = fields[1]
             try:
                 ring = ring_from_token(fields[3])
-                rank = int(fields[5])
             except (TwistlabError, ValueError) as exc:
                 raise ParseError(str(exc), lineno) from None
+            try:
+                rank = int(fields[5])
+            except ValueError:
+                raise ParseError(f"bad rank {fields[5]!r}", lineno) from None
+            if rank < 0:
+                raise ParseError("system rank must be >= 0", lineno)
         elif parts[0] == "edge":
             if name is None:
                 raise ParseError("edge line before the system header", lineno)
@@ -411,20 +416,3 @@ def is_trivializable(G: LocalSystem):
     sign = _sign_matrices()
     gauge = Gauge({vertices[v]: sign[s[v]] for v in reached})
     return True, gauge
-
-
-def sign_systems(K: DeltaComplex) -> list[LocalSystem]:
-    """All flat rank-1 systems over Z with +-1 transports, in edge order."""
-    edges = K.simplices(1)
-    if len(edges) > 12:
-        raise TwistlabError("sign-system enumeration capped at 12 edges")
-    out = []
-    sign = _sign_matrices()
-    for mask in range(2 ** len(edges)):
-        vals = [1 if (mask >> i) & 1 == 0 else -1 for i in range(len(edges))]
-        transports = {e: sign[v] for e, v in zip(edges, vals)}
-        try:
-            out.append(LocalSystem(f"signs{mask}", K, Z, 1, transports))
-        except ValidationError:
-            continue
-    return out

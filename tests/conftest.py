@@ -7,6 +7,7 @@ import pytest
 import twistlab as tl
 from twistlab import complexes
 from twistlab.errors import CapacityError, TwistlabError, ValidationError
+from twistlab.maps import Assignment
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -155,9 +156,32 @@ def build_complex(name: str, entries) -> tl.DeltaComplex:
     return tl.DeltaComplex(name, faces_of, {k: tuple(v) for k, v in by_dim.items()}, index)
 
 
+def identity_map(K: tl.DeltaComplex) -> tl.SimplicialMap:
+    assignments = {nm: Assignment(nm, None) for nm in K.all_simplices()}
+    return tl.SimplicialMap("id", K, K, assignments)
+
+
+def sign_systems(K: tl.DeltaComplex) -> list[tl.LocalSystem]:
+    """All flat rank-1 systems over Z with +-1 transports, in edge order."""
+    edges = K.simplices(1)
+    if len(edges) > 12:
+        raise TwistlabError("sign-system enumeration capped at 12 edges")
+    out = []
+    # [[1]] and [[-1]], each shared by every edge that carries it.
+    sign = {v: tl.Matrix.from_int_rows(tl.Z, [[v]]) for v in (1, -1)}
+    for mask in range(2 ** len(edges)):
+        vals = [1 if (mask >> i) & 1 == 0 else -1 for i in range(len(edges))]
+        transports = {e: sign[v] for e, v in zip(edges, vals)}
+        try:
+            out.append(tl.LocalSystem(f"signs{mask}", K, tl.Z, 1, transports))
+        except ValidationError:
+            continue
+    return out
+
+
 def sign_systems_of(name: str) -> list:
     if name not in _sign_cache:
-        _sign_cache[name] = tl.sign_systems(load_complex(name))
+        _sign_cache[name] = sign_systems(load_complex(name))
     return _sign_cache[name]
 
 

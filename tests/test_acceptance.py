@@ -5,7 +5,9 @@ failure fails the corresponding test at its stated exact tolerance (all
 checks here are exact integer/field equalities, nothing is approximate).
 """
 
+import ast
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -253,3 +255,57 @@ def test_criterion_10_determinism():
     assert first == second
     assert b"-> 0\n" in first and b"-> 1" not in first and b"-> 2" not in first
     _passline(10, "byte-identical runs")
+
+
+# The public surface: src/ holds what the engine, the benchmark, the scripts
+# or README's documented API use, and README's library section runs as shown.
+
+
+def test_src_defines_no_test_only_names():
+    # A public module-level function or class counts as used when code in
+    # src/ names it outside its own definition, when a file of bench/ or
+    # scripts/ names it (the benchmark wraps some by name), or when README
+    # does.  A helper only the tests call belongs in the tests.
+    defined, used = {}, set()
+    for path in sorted((ROOT / "src" / "twistlab").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+                defined[own] = path.name
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    used.add(name)
+    texts = [p.read_text(encoding="utf-8")
+             for d in ("bench", "scripts") for p in sorted((ROOT / d).glob("*.py"))]
+    texts.append((ROOT / "README.md").read_text(encoding="utf-8"))
+    used.update(re.findall(r"\w+", "\n".join(texts)))
+    unused = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+    assert not unused, unused
+
+
+def _readme_section(title: str) -> str:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_library_snippet_prints_what_its_comments_say(monkeypatch, capsys):
+    section = _readme_section("Library entry points")
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.split("# ", 1)[1].strip()
+                for line in code.splitlines() if line.startswith("print(")]
+    assert len(expected) == 3
+    monkeypatch.chdir(ROOT)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_readme_main_operations_are_exported():
+    sentence = re.search(r"The main operations\s+are (.*?)\.\s",
+                         _readme_section("Library entry points"), re.DOTALL).group(1)
+    names = re.findall(r"`(\w+)`", sentence)
+    assert len(names) == 29
+    assert [n for n in names if not hasattr(tl, n)] == []

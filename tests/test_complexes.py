@@ -69,11 +69,12 @@ def test_faces_of_an_unknown_simplex_names_it():
      "simplex 'v' of complex 'torus' has no face 0"),
     (lambda K: K.faces_along(["U"], (2, 0, 0)), "simplex 'v' of complex 'torus' has no face 0"),
     (lambda K: K.faces_along(["U"], (-1,)), "simplex 'U' of complex 'torus' has no face -1"),
+    (lambda K: K.faces_along(["U", "nope"], ()), "no simplex 'nope'"),
 ], ids=["dim_of", "face", "index_of", "range_face", "subset_face", "vertex",
         "vertices", "front_edge", "face_index", "negative_face_index", "edge_ends",
         "edge_ends_of_a_triangle", "edge_ends_of_a_vertex", "faces_along",
         "faces_along_face_index", "faces_along_of_a_vertex", "faces_along_past_a_vertex",
-        "faces_along_negative_face_index"])
+        "faces_along_negative_face_index", "faces_along_empty_path"])
 def test_accessors_name_a_missing_simplex_or_face(call, message):
     with pytest.raises(ValidationError, match=message):
         call(load_complex("torus"))
@@ -189,6 +190,7 @@ def test_coface_table_runs_the_check_it_needs():
         checked = tl.parse_complex(text)
         tl.pseudomanifold_check(checked)
         assert tl.parse_complex(text).coface_table() == checked._cofaces, name
+    assert tl.parse_complex("complex e\ndim 0\n").coface_table() == ([], [], [])
 
 
 def test_build_complex_says_a_vertex_takes_no_faces():

@@ -6,16 +6,15 @@ from twistlab.errors import RingMismatchError, TwistlabError
 from twistlab.homology import (
     ChainMapData,
     FreeComplex,
-    free_presentation,
-    is_presentation_iso,
+    ModulePresentation,
     maps_equal_mod,
-    torsion_presentation,
     zero_presentation,
 )
 from twistlab.matrices import Matrix
 
 from conftest import (
     ALL_COMPLEXES,
+    fixture_text,
     load_complex,
     load_subcomplex,
     load_system,
@@ -25,6 +24,32 @@ from conftest import (
 
 def M(rows, ring=tl.Z):
     return Matrix.from_int_rows(ring, rows)
+
+
+def free_presentation(ring, rank: int) -> ModulePresentation:
+    return ModulePresentation(ring, rank, (), rank, Matrix.identity(ring, rank))
+
+
+def torsion_presentation(ring, invariants, rank: int = 0) -> ModulePresentation:
+    n = rank + len(invariants)
+    return ModulePresentation(ring, rank, tuple(invariants), n,
+                              Matrix.identity(ring, n))
+
+
+def is_presentation_iso(A: Matrix, src: ModulePresentation,
+                        tgt: ModulePresentation) -> bool:
+    """Whether A: src -> tgt is an isomorphism of finitely generated modules."""
+    ring = src.ring
+    z = zero_presentation(ring)
+    report = tl.exactness_check(
+        [z, src, tgt, z],
+        [
+            Matrix.zeros(ring, src.generators, 0),
+            A,
+            Matrix.zeros(ring, 0, tgt.generators),
+        ],
+    )
+    return report.all_exact
 
 
 def two_term(ring, d1_rows, shape):
@@ -253,7 +278,7 @@ def test_zero_map_is_not_quasi_iso():
 def test_quasi_iso_iff_induced_isos(rng):
     # sampled equivalence between the cone verdict and presentation isos
     C3, C1 = load_complex("circle3"), load_complex("circle1")
-    f = tl.parse_map(open("fixtures/wrap.map").read(), C3, C1)
+    f = tl.parse_map(fixture_text("wrap.map"), C3, C1)
     for G in [
         tl.constant_system(C1, 1, tl.Z),
         load_system("minus1.sys", C1),

@@ -4,6 +4,7 @@ import pytest
 
 import twistlab as tl
 from twistlab.errors import ParseError, RingMismatchError, ValidationError
+from twistlab.maps import Assignment, SimplicialMap
 
 from conftest import (
     ALL_COMPLEXES,
@@ -12,6 +13,7 @@ from conftest import (
     cofaces,
     fixture_text,
     front_edge,
+    identity_map,
     load_complex,
     load_system,
     random_flat_system,
@@ -21,6 +23,30 @@ from conftest import (
     vertex,
 )
 from inputs import klein_bottle, kuhn_torus
+
+
+def compose(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
+    """g after f."""
+    if not f.codomain.same_complex(g.domain):
+        raise ValidationError("composition domain/codomain mismatch")
+    assignments = {}
+    for nm in f.domain.all_simplices():
+        a = f.assignments[nm]
+        b = g.assignments[a.image]
+        if a.surjection is None and b.surjection is None:
+            assignments[nm] = Assignment(b.image, None)
+        elif a.surjection is None:
+            assignments[nm] = b
+        else:
+            if b.surjection is None:
+                comp = a.surjection
+            else:
+                comp = tuple(b.surjection[x] for x in a.surjection)
+            if comp == tuple(range(len(comp))):
+                assignments[nm] = Assignment(b.image, None)
+            else:
+                assignments[nm] = Assignment(b.image, comp)
+    return SimplicialMap(f"{g.name}*{f.name}", f.domain, g.codomain, assignments)
 
 
 def test_parse_minus1():
@@ -56,7 +82,11 @@ def test_noninvertible_transport_names_edge():
     ("system a over Z rank 1\nedge a [[1]]\nsystem b over Z rank 2\nedge b [[1,0];[0,1]]\n",
      "line 3: expected a single 'system <name> over <Z|Q|Fp> rank <d>' header"),
     ("edge a [[1]]\nsystem a over Z rank 1\n", "line 1: edge line before the system header"),
-], ids=["second_header", "header_after_edges", "edge_before_header"])
+    ("system a over Z rank x\nedge a [[1]]\n", "line 1: bad rank 'x'"),
+    ("system a over Z rank -1\nedge a [[1]]\n", "line 1: system rank must be >= 0"),
+    ("system a over Z rank -1\n", "line 1: system rank must be >= 0"),
+], ids=["second_header", "header_after_edges", "edge_before_header", "bad_rank",
+        "negative_rank", "negative_rank_without_edges"])
 def test_a_system_takes_exactly_one_header_first(text, message):
     with pytest.raises(ParseError) as got:
         tl.parse_system(text, load_complex("torus"))
@@ -170,13 +200,13 @@ def test_rank_zero_system():
 def test_pullback_identity_and_collapse():
     K = load_complex("torus")
     G = load_system("torus_ab.sys", K)
-    ident = tl.identity_map(K)
+    ident = identity_map(K)
     P = tl.pullback_system(ident, G)
     for e in K.simplices(1):
         assert P.transport(e) == G.transport(e)
 
     disk, point = load_complex("disk"), load_complex("point")
-    f = tl.parse_map(open("fixtures/collapse.map").read(), disk, point)
+    f = tl.parse_map(fixture_text("collapse.map"), disk, point)
     Gp = tl.constant_system(point, 2, tl.Q)
     back = tl.pullback_system(f, Gp)
     for e in disk.simplices(1):
@@ -185,7 +215,7 @@ def test_pullback_identity_and_collapse():
 
 def test_pullback_wrap_gives_minus_one_everywhere():
     C3, C1 = load_complex("circle3"), load_complex("circle1")
-    f = tl.parse_map(open("fixtures/wrap.map").read(), C3, C1)
+    f = tl.parse_map(fixture_text("wrap.map"), C3, C1)
     G = load_system("minus1.sys", C1)
     back = tl.pullback_system(f, G)
     for e in C3.simplices(1):
@@ -194,10 +224,8 @@ def test_pullback_wrap_gives_minus_one_everywhere():
 
 def test_pullback_of_composite_is_composite_of_pullbacks():
     C3, C1 = load_complex("circle3"), load_complex("circle1")
-    f = tl.parse_map(open("fixtures/wrap.map").read(), C3, C1)
-    ident = tl.identity_map(C1)
-    from twistlab.maps import compose
-
+    f = tl.parse_map(fixture_text("wrap.map"), C3, C1)
+    ident = identity_map(C1)
     g = compose(ident, f)
     G = load_system("minus1.sys", C1)
     once = tl.pullback_system(g, G)
@@ -317,7 +345,7 @@ def test_random_flat_systems_are_flat(rng):
 
 def test_pullback_base_mismatch():
     C3, C1 = load_complex("circle3"), load_complex("circle1")
-    f = tl.parse_map(open("fixtures/wrap.map").read(), C3, C1)
+    f = tl.parse_map(fixture_text("wrap.map"), C3, C1)
     wrong = tl.constant_system(C3, 1, tl.Z)
     with pytest.raises(RingMismatchError):
         tl.pullback_system(f, wrong)
@@ -340,15 +368,13 @@ def test_tensor_base_of_the_same_name_is_rejected():
 def test_pullback_base_of_the_same_name_is_rejected():
     G, impostor = _minus1_and_impostor()
     with pytest.raises(RingMismatchError):
-        tl.pullback_system(tl.identity_map(impostor), G)
+        tl.pullback_system(identity_map(impostor), G)
 
 
 def test_compose_through_a_complex_of_the_same_name_is_rejected():
-    from twistlab.maps import compose
-
     G, impostor = _minus1_and_impostor()
     with pytest.raises(ValidationError):
-        compose(tl.identity_map(G.base), tl.identity_map(impostor))
+        compose(identity_map(G.base), identity_map(impostor))
 
 
 def test_tensor_of_flat_is_flat_and_rank_multiplies(rng):

@@ -10,6 +10,8 @@ from twistlab.errors import TwistlabError, ValidationError
 from twistlab.matrices import Matrix
 
 from conftest import (
+    fixture_text,
+    identity_map,
     load_complex,
     load_subcomplex,
     load_system,
@@ -141,7 +143,7 @@ def test_constant_reduction_matches_classical():
 
 def test_induced_map_examples():
     C3, C1 = load_complex("circle3"), load_complex("circle1")
-    f = tl.parse_map(open("fixtures/wrap.map").read(), C3, C1)
+    f = tl.parse_map(fixture_text("wrap.map"), C3, C1)
     G = tl.constant_system(C1, 1, tl.Z)
     chains, cochains = tl.induced_chain_map(f, G)
     assert chains.matrix(1).rows == [[1, 1, 1]]
@@ -150,7 +152,7 @@ def test_induced_map_examples():
     assert tl.is_quasi_iso(chains) and tl.is_quasi_iso(cochains)
 
     disk, point = load_complex("disk"), load_complex("point")
-    g = tl.parse_map(open("fixtures/collapse.map").read(), disk, point)
+    g = tl.parse_map(fixture_text("collapse.map"), disk, point)
     ch, co = tl.induced_chain_map(g, tl.constant_system(point, 1, tl.Z))
     assert ch.matrix(1).is_zero() and ch.matrix(2).is_zero()
     assert tl.is_quasi_iso(ch) and tl.is_quasi_iso(co)
@@ -434,8 +436,8 @@ def test_homotopy_invariance_instances(rng):
     # collapse disk -> point and the circle wrap induce isos for all systems
     disk, point = load_complex("disk"), load_complex("point")
     C3, C1 = load_complex("circle3"), load_complex("circle1")
-    collapse = tl.parse_map(open("fixtures/collapse.map").read(), disk, point)
-    wrap = tl.parse_map(open("fixtures/wrap.map").read(), C3, C1)
+    collapse = tl.parse_map(fixture_text("collapse.map"), disk, point)
+    wrap = tl.parse_map(fixture_text("wrap.map"), C3, C1)
     for ring in RINGS:
         for rank in (1, 2):
             Gp = tl.constant_system(point, rank, ring)
@@ -476,7 +478,7 @@ def test_sphere2_rank2_rational_dims():
 def test_identity_map_induces_identity_matrices():
     K = load_complex("torus")
     G = load_system("torus_ab.sys", K)
-    chains, cochains = tl.induced_chain_map(tl.identity_map(K), G)
+    chains, cochains = tl.induced_chain_map(identity_map(K), G)
     for k in range(3):
         assert chains.matrix(k) == Matrix.identity(tl.Z, chains.source.rank(k))
         assert cochains.matrix(k) == Matrix.identity(tl.Z, cochains.source.rank(k))
