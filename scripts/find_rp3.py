@@ -104,10 +104,10 @@ def build_candidate(matching):
 
 
 def link_euler(K, v):
+    """The Euler characteristic of the link of the vertex at position v."""
     def corners(k):
         # How often v is vertex e_m of a k-simplex, over every m.
-        return sum(K.faces_along(K.simplices(k), face_path(k, (m,))).count(v)
-                   for m in range(k + 1))
+        return sum(K.faces_along(k, face_path(k, (m,))).count(v) for m in range(k + 1))
 
     return corners(1) - corners(2) + corners(3)
 
@@ -137,7 +137,7 @@ def main():
         triv, _ = is_trivializable(w)
         if not triv:
             continue
-        links = [link_euler(K, v) for v in K.simplices(0)]
+        links = [link_euler(K, v) for v in range(len(K.simplices(0)))]
         if any(x != 2 for x in links):
             continue
         found.append((mi, matching, K))

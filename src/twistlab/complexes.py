@@ -1,14 +1,14 @@
 """Finite Delta-complexes: named ordered simplices glued along face maps.
 
-A k-simplex stores its k+1 faces by the faces' own name objects, face i being
-the (k-1)-simplex opposite vertex e_i.  Repeated-vertex gluings are allowed,
-so one-vertex models of the torus, Klein bottle, etc. are valid inputs.  A
-complex is a few plain tables that `parse_complex` fills in one pass over the
-document's lines; the checks and walks read them a whole dimension at a time.
-Only this module reads the tables: elsewhere faces are walked with
-`DeltaComplex.faces_along` along a `face_path`, names become matrix positions
-through `DeltaComplex.index_of`, and cofaces are read from
-`DeltaComplex.coface_table`.
+A k-simplex stores its k+1 faces as positions among the (k-1)-simplices, face
+i being the one opposite vertex e_i; a position, a simplex's place in its
+dimension in input order, is the one coordinate of every table and matrix.
+Repeated-vertex gluings are allowed, so one-vertex models of the torus, Klein
+bottle, etc. are valid inputs.  `parse_complex` fills the tables in one pass
+over the document's lines, and only this module reads them: elsewhere faces
+are walked a whole dimension at a time with `DeltaComplex.faces_along` along a
+`face_path`, and cofaces are read from `DeltaComplex.coface_table`.  Names
+stay at the edges: the parsers, messages and accessors that take a name.
 """
 
 from __future__ import annotations
@@ -22,16 +22,18 @@ from .errors import CapacityError, ParseError, ValidationError
 
 MAX_DIMENSION = 8
 MAX_SIMPLICES = 100000
+_DIMS = MAX_DIMENSION + 1  # `_index` packs a simplex as position * _DIMS + dimension
 
 
 class DeltaComplex:
     """Validated immutable complex; simplex order follows the input order.
 
-    Its tables, filled by `parse_complex`, hold each name once: name -> tuple of
-    the faces' own names (`_faces`, which fixes dimensions), dimension -> names
-    in input order (`_by_dim`) and name -> position within its dimension
-    (`_index`, fixing matrix bases, read through `index_of`).  `faces_along` is
-    the one walk down the face maps, a whole list of simplices at a time.
+    Its tables, filled by `parse_complex`: dimension -> names in input order
+    (`_by_dim`), name -> position within its dimension and that dimension,
+    packed in one int (`_index`, read through `index_of` and `dim_of`), and
+    dimension k -> each k-simplex's face tuple as positions among the
+    (k-1)-simplices, empty for a vertex (`_faces`).  `faces_along` is the one
+    walk down the face maps, a whole dimension at a time.
     `pseudomanifold_check` adds the coface table of the top dimension
     (`_cofaces`, read through `coface_table`)."""
 
@@ -54,12 +56,14 @@ class DeltaComplex:
             yield from self._by_dim[k]
 
     def __contains__(self, name):
-        return name in self._faces
+        return name in self._index
 
     def same_complex(self, other: "DeltaComplex") -> bool:
-        """Whether other is this complex or has the same face table (which fixes
-        every dimension: k + 1 faces for k >= 1, none for a vertex)."""
-        return self is other or self._faces == other._faces
+        """Whether other is this complex or has the same simplices, by name, each
+        with the same faces, by name (which fixes every dimension: k + 1 faces
+        for k >= 1, none for a vertex), in whatever order either lists them."""
+        return self is other or (self._index.keys() == other._index.keys() and all(
+            self.faces(nm) == other.faces(nm) for nm in self._index))
 
     # Accessors catch a missing name rather than test first, so a hit costs
     # nothing; a face index is tested, as Python reads a negative one from
@@ -68,57 +72,50 @@ class DeltaComplex:
     def _no_simplex(self, name: str) -> ValidationError:
         return ValidationError(f"complex {self.name!r} has no simplex {name!r}")
 
-    def _no_face(self, name: str, i: int) -> ValidationError:
-        return ValidationError(f"simplex {name!r} of complex {self.name!r} has no face {i}")
+    def _locate(self, name: str) -> tuple[int, int]:
+        """(position, dimension) of a simplex."""
+        try:
+            return divmod(self._index[name], _DIMS)
+        except KeyError:
+            raise self._no_simplex(name) from None
 
     def dim_of(self, name: str) -> int:
-        try:
-            return (len(self._faces[name]) or 1) - 1  # k + 1 faces, a vertex none
-        except KeyError:
-            raise self._no_simplex(name) from None
+        return self._locate(name)[1]
 
     def faces(self, name: str) -> tuple[str, ...]:
-        try:
-            return self._faces[name]
-        except KeyError:
-            raise self._no_simplex(name) from None
+        i, k = self._locate(name)
+        # k + 1 >= 2 faces name a tuple; a vertex has none.
+        return itemgetter(*self._faces[k][i])(self._by_dim[k - 1]) if k else ()
 
     def face(self, name: str, i: int) -> str:
         faces = self.faces(name)
         if not 0 <= i < len(faces):
-            raise self._no_face(name, i)
+            raise ValidationError(f"simplex {name!r} of complex {self.name!r} has no face {i}")
         return faces[i]
 
     def index_of(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise self._no_simplex(name) from None
+        return self._locate(name)[0]
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(self.simplices(k)) for k in range(self.dimension + 1))
 
-    def faces_along(self, names, path: tuple[int, ...]) -> list[str]:
-        """The face of each of names, all of one dimension, reached by taking
-        face path[0], then face path[1] of that, and so on: one pass over the
-        face table per step.  With path = `face_path(d, keep)`,
-        `faces_along([nm], path)[0]` is the face of the d-simplex nm spanned by
-        its vertices e_i, i in keep: its vertex e_m for keep = (m,), its front
-        edge for (0, 1)."""
-        get = self._faces.__getitem__
-        out = list(names)
-        if not path and not all(map(self._faces.__contains__, out)):
-            raise self._no_simplex(next(nm for nm in out if nm not in self._faces))
-        try:
-            for i in path:
-                if i < 0 and out:
-                    self.face(out[0], i)  # refuses i, which Python reads from the end
-                out = list(map(itemgetter(i), map(get, out)))
-        except KeyError as exc:
-            raise self._no_simplex(exc.args[0]) from None
-        except IndexError:
-            raise self._no_face(next(nm for nm in out if len(get(nm)) <= i), i) from None
-        return out
+    def faces_along(self, k: int, path: tuple[int, ...]) -> list[int]:
+        """For each k-simplex, by position, the position of the face reached by
+        taking face path[0], then face path[1] of that, and so on: one pass
+        over a face table per step.  With path = `face_path(k, keep)`, entry s
+        is the face of the k-simplex at position s spanned by its vertices e_i,
+        i in keep: its vertex e_m for keep = (m,), its front edge for (0, 1).
+        An empty path gives the k-simplices' own positions."""
+        if len(path) > max(k, 0):
+            raise ValidationError(
+                f"a {k}-simplex of complex {self.name!r} has no face path {tuple(path)}")
+        out = None
+        for d, i in zip(range(k, 0, -1), path):
+            if not 0 <= i <= d:
+                raise ValidationError(f"a {d}-simplex of complex {self.name!r} has no face {i}")
+            level = self._faces.get(d, ())  # none above the top dimension
+            out = list(map(itemgetter(i), level if out is None else map(level.__getitem__, out)))
+        return list(range(len(self.simplices(k)))) if out is None else out
 
     def coface_table(self) -> tuple[list[int], list[int], list[int]]:
         """The coface table of the top dimension n, which `pseudomanifold_check`
@@ -140,9 +137,9 @@ class DeltaComplex:
 @cache
 def face_path(d: int, keep) -> tuple[int, ...]:
     """The face indices that lead from a d-simplex to its face on the vertex
-    indices in keep (a hashable container), for `DeltaComplex.faces_along`:
-    going down, face i of the current face still drops original vertex i.
-    Worked out once per dimension and vertex set."""
+    indices in keep (a hashable container): `K.faces_along(d, path)` walks it
+    for every d-simplex at once.  Going down, face i of the current face still
+    drops original vertex i.  Worked out once per dimension and vertex set."""
     return tuple(i for i in range(d, -1, -1) if i not in keep)
 
 
@@ -160,28 +157,27 @@ def validate_complex(K: DeltaComplex) -> ValidationReport:
 
     Each dimension is checked in whole-table passes, one per identity; only a
     dimension where one fails is walked simplex by simplex, to list its
-    violations in order."""
+    violations, by name, in order."""
     report = ValidationReport()
-    faces = K._faces
-    get = faces.__getitem__
     for k in range(2, K.dimension + 1):
-        level = K.simplices(k)
+        level = K._faces[k]
+        get = K._faces[k - 1].__getitem__
         # Every face of a k-simplex is a (k-1)-simplex with k faces, so
         # column j holds the face tuple of face j of each k-simplex.
-        cols = [list(map(get, map(itemgetter(j), map(get, level)))) for j in range(k + 1)]
+        cols = [list(map(get, map(itemgetter(j), level))) for j in range(k + 1)]
         if all(list(map(itemgetter(i), cols[j])) == list(map(itemgetter(j - 1), cols[i]))
                for j in range(1, k + 1) for i in range(j)):
             continue
-        for nm in level:
-            ff = [faces[f] for f in faces[nm]]
+        for nm, faces in zip(K.simplices(k), level):
+            ff = list(map(get, faces))
             for j in range(1, k + 1):
                 for i in range(j):
                     left, right = ff[j][i], ff[i][j - 1]
                     if left != right:
                         report.violations.append(
                             f"face identity fails on {nm!r} at (i={i}, j={j}): "
-                            f"face_{i}(face_{j}) = {left!r} but "
-                            f"face_{j - 1}(face_{i}) = {right!r}")
+                            f"face_{i}(face_{j}) = {K.simplices(k - 2)[left]!r} but "
+                            f"face_{j - 1}(face_{i}) = {K.simplices(k - 2)[right]!r}")
     return report
 
 
@@ -206,8 +202,9 @@ def parse_complex(text: str) -> DeltaComplex:
     name = None
     declared_dim = None
     last_dim = 0
-    faces_of: dict[str, tuple[str, ...]] = {}
+    index: dict[str, int] = {}
     by_dim: dict[int, list[str]] = {}
+    faces_by_dim: dict[int, list[tuple[int, ...]]] = {}
     table_error = None
     level_dim = None
     k_token = None
@@ -249,22 +246,24 @@ def parse_complex(text: str) -> DeltaComplex:
                 continue
             if k != level_dim:
                 # Dimensions ascend, so every (k-1)-simplex is already listed;
-                # each maps to its own name, and k + 1 >= 2 of them to a tuple.
+                # each maps to its position, and k + 1 >= 2 of them to a tuple.
                 level_dim = k
-                level = by_dim.setdefault(k, [])
+                level = by_dim[k] = []
+                table = faces_by_dim[k] = []
                 names = by_dim.get(k - 1, ())
-                below = dict(zip(names, names))
+                below = dict(zip(names, range(len(names))))
             try:
                 faces = itemgetter(*parts[3:])(below) if k else ()
             except KeyError as exc:
                 table_error = ValidationError(f"unknown face {exc.args[0]!r} of simplex {nm!r}")
                 continue
-            if nm in faces_of:
+            if nm in index:
                 table_error = ValidationError(f"duplicate simplex name {nm!r}")
             else:
-                faces_of[nm] = faces
+                index[nm] = len(level) * _DIMS + k
                 level.append(nm)
-                if len(faces_of) > room:
+                table.append(faces)
+                if len(index) > room:
                     table_error = CapacityError(f"more than {room} simplices")
         elif parts[0] == "complex":
             if len(parts) != 2 or name is not None:
@@ -285,8 +284,7 @@ def parse_complex(text: str) -> DeltaComplex:
         raise ParseError("missing 'complex <name>' header")
     if table_error is not None:
         raise table_error
-    index = dict(chain.from_iterable(zip(v, range(len(v))) for v in by_dim.values()))
-    K = DeltaComplex(name, faces_of, {k: tuple(v) for k, v in by_dim.items()}, index)
+    K = DeltaComplex(name, faces_by_dim, {k: tuple(v) for k, v in by_dim.items()}, index)
     report = validate_complex(K)
     if not report.ok:
         raise ValidationError("; ".join(report.violations))
@@ -407,8 +405,7 @@ def _check_pseudomanifold(K: DeltaComplex) -> ManifoldReport:
     width = n + 1
 
     # The coface table, filled slot by slot in the order p = width * s + i.
-    get = K._faces.__getitem__
-    at = list(map(K._index.__getitem__, chain.from_iterable(map(get, top))))
+    at = list(chain.from_iterable(K._faces[n]))
     size = len(K.simplices(n - 1))
     first, second, count = [-1] * size, [-1] * size, [0] * size
     for p, f in enumerate(at):
@@ -425,7 +422,7 @@ def _check_pseudomanifold(K: DeltaComplex) -> ManifoldReport:
     # of (k+1)-simplices are k-simplices, so counting them is enough; the
     # table counts them for k = n - 1.
     pure = 0 not in count and all(
-        len(set(chain.from_iterable(map(get, K.simplices(k + 1))))) == len(K.simplices(k))
+        len(set(chain.from_iterable(K._faces[k + 1]))) == len(K.simplices(k))
         for k in range(n - 1))
     two = count.count(2) == size
 

@@ -72,10 +72,11 @@ def fundamental_class(K: DeltaComplex, w: LocalSystem) -> FundamentalClass:
     top = K.simplices(n)
     width = n + 1
 
-    # coef by coface slot p = width * s + i, with each front-edge sign read once.
-    transports = w.transports
+    # coef by coface slot p = width * s + i, with each front-edge sign read once
+    # from w's transports, taken in K's edge order (w's base may list another).
+    transports = list(map(w.transports.__getitem__, K.simplices(1)))
     rest = [-1 if i % 2 else 1 for i in range(1, width)]
-    coef = [c for e in K.faces_along(top, face_path(n, (0, 1)))
+    coef = [c for e in K.faces_along(n, face_path(n, (0, 1)))
             for c in (transports[e].entry(0, 0), *rest)]
     first, second, _ = K.coface_table()
     ties: list[list[tuple[int, int]]] = [[] for _ in top]
@@ -115,9 +116,9 @@ def _cap_matrix(K: DeltaComplex, G: LocalSystem, H: LocalSystem, k: int, m: int,
         )
     # Each m-simplex's back face [e_{m-k}..e_m], front face [e_0..e_{m-k}] and
     # carry edge [e_0, e_{m-k}], a whole level per walk.
-    backs = K.faces_along(m_simplices, face_path(m, tuple(range(m - k, m + 1))))
-    fronts = K.faces_along(m_simplices, face_path(m, tuple(range(m - k + 1))))
-    carries = K.faces_along(m_simplices, face_path(m, (0, m - k))) if m > k else None
+    backs = K.faces_along(m, face_path(m, tuple(range(m - k, m + 1))))
+    fronts = K.faces_along(m, face_path(m, tuple(range(m - k + 1))))
+    carries = K.faces_along(m, face_path(m, (0, m - k))) if m > k else None
     add, mul, zero = ring.add, ring.mul, ring.zero()
     rows = [{} for _ in range(len(K.simplices(m - k)) * dG * dH)]
     sign = -1 if (k * (m - k)) % 2 else 1
@@ -129,9 +130,9 @@ def _cap_matrix(K: DeltaComplex, G: LocalSystem, H: LocalSystem, k: int, m: int,
         if sign == -1:
             u = [ring.neg(x) for x in u]
         # The block at (front face, back face) gains sign * (T^-1 (x) u).
-        back = K.index_of(backs[si]) * dG
-        front = K.index_of(fronts[si]) * dG * dH
-        carry = G.transport_inverse(carries[si]) if m > k else ident
+        back = backs[si] * dG
+        front = fronts[si] * dG * dH
+        carry = G.transport_inverse(K.simplices(1)[carries[si]]) if m > k else ident
         for i, trow in enumerate(carry.entries):
             for j, uj in enumerate(u):
                 if uj:
@@ -167,11 +168,11 @@ def cap_with_fundamental_class(K: DeltaComplex, G: LocalSystem,
     GH = tensor_systems(G, w)
     target = chain_complex(K, GH)
     # Degree j holds C^{n-j}, with the cochain differentials of K, built once.
-    names = {k: K.simplices(k) for k in range(K.dimension + 1)}
+    basis = {k: range(len(K.simplices(k))) for k in range(K.dimension + 1)}
     source = FreeComplex(
         f"C^({K.name};{G.name})[rev]", ring, "chain",
-        {n - k: len(nms) * G.rank for k, nms in names.items()},
-        {n - k: d for k, d in _diffs(K, G, names, "cochain").items()},
+        {n - k: len(at) * G.rank for k, at in basis.items()},
+        {n - k: d for k, d in _diffs(K, G, basis, "cochain").items()},
     )
     zvec = mu.chain_vector(ring)
     mats = {j: _cap_matrix(K, G, w, n - j, n, zvec) for j in range(n + 1)}

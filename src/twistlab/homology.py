@@ -300,13 +300,12 @@ class ChainMapData:
 
     def _verify(self):
         degs = set(self.source.degree_span()) | set(self.target.degree_span())
-        shift = -1 if self.direction == "chain" else 1
         for k in sorted(degs):
             m = self.matrix(k)
             if m.nrows != self.target.rank(k) or m.ncols != self.source.rank(k):
                 raise TwistlabError(f"{self.label}: matrix shape wrong at degree {k}")
             lhs = self.target.diff(k).mul(m)
-            rhs = self.matrix(k + shift).mul(self.source.diff(k))
+            rhs = self.matrix(self.source._target_degree(k)).mul(self.source.diff(k))
             if self.sign == -1:
                 rhs = rhs.neg()
             if lhs != rhs:
@@ -356,20 +355,19 @@ def mapping_cone(F: ChainMapData) -> FreeComplex:
     """Cone(F) with the block differential matching F's recorded sign rule."""
     ring = F.ring
     S, T = F.source, F.target
-    if F.direction == "chain":
-        off = -1  # cone at k holds S_{k-1}
-    else:
-        off = 1   # cone at k holds S^{k+1}
-    degs = sorted(set(T.degree_span()) | {k - off for k in S.degree_span()})
-    ranks = {k: T.rank(k) + S.rank(k + off) for k in degs}
+    # The cone at k holds T at k and S at the degree its differential reaches
+    # from k: S_{k-1} for chains, S^{k+1} for cochains.
+    reach = S._target_degree
+    degs = sorted(set(T.degree_span()) | set(map(S._source_degree, S.degree_span())))
+    ranks = {k: T.rank(k) + S.rank(reach(k)) for k in degs}
     sigma = -F.sign
     diffs = {}
     for k in degs:
-        tgt_deg = k - 1 if F.direction == "chain" else k + 1
-        r_t, r_s = T.rank(tgt_deg), S.rank(tgt_deg + off)
-        c_t, c_s = T.rank(k), S.rank(k + off)
-        inner = F.matrix(k + off)
-        dS = S.diff(k + off)
+        j = reach(k)
+        r_t, r_s = T.rank(j), S.rank(reach(j))
+        c_t, c_s = T.rank(k), S.rank(j)
+        inner = F.matrix(j)
+        dS = S.diff(j)
         if sigma == -1:
             dS = dS.neg()
         diffs[k] = block_matrix(

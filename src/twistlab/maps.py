@@ -82,10 +82,9 @@ def _validate_map(m: SimplicialMap):
     # Face compatibility: the stored assignment of each face must match the
     # assignment derived from its cofaces.
     for nm in dom.all_simplices():
-        k = dom.dim_of(nm)
-        for i in range(k + 1 if k >= 1 else 0):
+        for i, face in enumerate(dom.faces(nm)):
             expected = _face_assignment(m, nm, i)
-            actual = m.assignments[dom.face(nm, i)]
+            actual = m.assignments[face]
             if expected != actual:
                 raise ValidationError(
                     f"map {m.name!r}: face {i} of {nm!r} maps to {actual} "

@@ -273,6 +273,8 @@ def ring_from_token(token: str) -> Ring:
         return Z
     if token == "Q":
         return Q
-    if token.startswith("F") and token[1:].isdigit():
-        return prime_field(int(token[1:]))
+    digits = token[1:]
+    # ASCII only: str.isdigit() also accepts superscripts, which int() refuses.
+    if token.startswith("F") and digits.isascii() and digits.isdigit():
+        return prime_field(int(digits))
     raise TwistlabError(f"unsupported coefficient ring {token!r} (use Z, Q, or F<p>)")

@@ -78,10 +78,11 @@ class LocalSystem:
             invertible.add(key)
         # A constant or sign system shares one matrix per value, so flatness
         # is checked once per distinct triple of transport objects; the first
-        # non-flat 2-simplex is still the one named.
-        get = self.transports.__getitem__
+        # non-flat 2-simplex is still the one named.  The transports are in
+        # edge order, so a face's position picks its transport.
+        get = list(self.transports.values()).__getitem__
         triangles = self.base.simplices(2)
-        cols = [map(get, self.base.faces_along(triangles, (i,))) for i in range(3)]
+        cols = [map(get, self.base.faces_along(2, (i,))) for i in range(3)]
         flat = set()
         for t, t0, t1, t2 in zip(triangles, *cols):
             triple = (id(t0), id(t1), id(t2))
@@ -155,7 +156,7 @@ def parse_system(text: str, K: DeltaComplex) -> LocalSystem:
             name = fields[1]
             try:
                 ring = ring_from_token(fields[3])
-            except (TwistlabError, ValueError) as exc:
+            except TwistlabError as exc:
                 raise ParseError(str(exc), lineno) from None
             try:
                 rank = int(fields[5])
@@ -335,21 +336,24 @@ def orientation_system(K: DeltaComplex) -> LocalSystem:
             corner_edges[b2 + m2].append((b1 + m1, sign))
 
     # Corners fill s-major, m-minor: corners[0] roots each vertex's sign
-    # propagation, so that order fixes the printed signs.
-    vertex_cols = [K.faces_along(top, face_path(n, (m,))) for m in range(width)]
-    corners_at: dict[str, list[int]] = {v: [] for v in K.simplices(0)}
+    # propagation, so that order fixes the printed signs.  corners_at and
+    # spanning are indexed by vertex and edge position.
+    vertices, edges = K.simplices(0), K.simplices(1)
+    vertex_cols = [K.faces_along(n, face_path(n, (m,))) for m in range(width)]
+    corners_at: list[list[int]] = [[] for _ in vertices]
     for c, v in enumerate(chain.from_iterable(zip(*vertex_cols))):
         corners_at[v].append(c)
     # The first (top simplex, slot pair) spanning each edge, in the same
-    # order, numbered len(pairs) * (position of the simplex) + pair.
+    # order, numbered len(pairs) * (position of the simplex) + pair, or -1.
     pairs = [(a, b) for a in range(width) for b in range(a + 1, width)]
-    edge_cols = [K.faces_along(top, face_path(n, pair)) for pair in pairs]
-    spanning: dict[str, int] = {}
+    edge_cols = [K.faces_along(n, face_path(n, pair)) for pair in pairs]
+    spanning = [-1] * len(edges)
     for j, e in enumerate(chain.from_iterable(zip(*edge_cols))):
-        spanning.setdefault(e, j)
+        if spanning[e] < 0:
+            spanning[e] = j
 
     corner_sign = [0] * (width * len(top))
-    for v, corners in corners_at.items():
+    for v, corners in zip(vertices, corners_at):
         if not corners:
             raise ValidationError(f"vertex {v!r} lies in no top simplex")
         star = _propagate_signs(corners[0], corner_edges, corner_sign)
@@ -366,10 +370,10 @@ def orientation_system(K: DeltaComplex) -> LocalSystem:
 
     transports = {}
     sign = _sign_matrices()
-    for e in K.simplices(1):
-        if e not in spanning:
+    for e, j in zip(edges, spanning):
+        if j < 0:
             raise ValidationError(f"edge {e!r} lies in no top simplex")
-        si, p = divmod(spanning[e], len(pairs))
+        si, p = divmod(j, len(pairs))
         a, b = pairs[p]
         transports[e] = sign[corner_sign[width * si + a] * corner_sign[width * si + b]]
     try:
@@ -397,12 +401,9 @@ def is_trivializable(G: LocalSystem):
             raise ValidationError(f"transport on {e!r} is not a sign")
     K = G.base
     vertices = K.simplices(0)
-    names = K.simplices(1)
-    # Face 0 of an edge is its head and face 1 its tail, read as vertex positions.
-    heads = map(K.index_of, K.faces_along(names, (0,)))
-    tails = map(K.index_of, K.faces_along(names, (1,)))
     edges: list[list[tuple[int, int]]] = [[] for _ in vertices]
-    for head, tail, t in zip(heads, tails, signs):
+    # Face 0 of an edge is its head and face 1 its tail, as vertex positions.
+    for head, tail, t in zip(K.faces_along(1, (0,)), K.faces_along(1, (1,)), signs):
         edges[tail].append((head, t))
         edges[head].append((tail, t))
     s = [0] * len(vertices)

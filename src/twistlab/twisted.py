@@ -34,16 +34,13 @@ class TwistedComplex(FreeComplex):
                  direction: str, keep: frozenset | None):
         self.base = base
         self.system = system
-        d = system.rank
-        self._basis_names: dict[int, tuple[str, ...]] = {}
-        ranks = {}
-        for k in range(base.dimension + 1):
-            names = tuple(
-                nm for nm in base.simplices(k) if keep is None or nm in keep
-            )
-            self._basis_names[k] = names
-            ranks[k] = len(names) * d
-        diffs = _diffs(base, system, self._basis_names, direction)
+        # The basis simplices of each degree, by position in the base and by name.
+        self._basis = {k: [s for s, nm in enumerate(base.simplices(k)) if keep is None or nm in keep]
+                       for k in range(base.dimension + 1)}
+        self._basis_names = {k: tuple(map(base.simplices(k).__getitem__, at))
+                             for k, at in self._basis.items()}
+        ranks = {k: len(at) * system.rank for k, at in self._basis.items()}
+        diffs = _diffs(base, system, self._basis, direction)
         super().__init__(label, system.ring, direction, ranks, diffs)
 
     def basis_names(self, k: int) -> tuple[str, ...]:
@@ -65,33 +62,37 @@ class TwistedComplex(FreeComplex):
         return out
 
 
-def _diffs(K, G, basis_names, direction):
-    """Differentials keyed by source degree.  Each k-simplex s (k >= 1) is
-    visited once, unless no (k-1)-simplex is in the basis: a chain complex
-    gets the block at (face i, s), T for i = 0 and (-1)^i I otherwise; a
-    cochain complex gets the block at (s, face i) of the degree k-1
-    coboundary, (-1)^(k-1) times T^-1 or (-1)^i I."""
+def _diffs(K, G, basis, direction):
+    """Differentials keyed by source degree, on the k-simplices at positions
+    basis[k].  Each such s (k >= 1) is visited once, unless no (k-1)-simplex is
+    in the basis: a chain complex gets the block at (face i, s), T for i = 0
+    and (-1)^i I otherwise; a cochain complex gets the block at (s, face i) of
+    the degree k-1 coboundary, (-1)^(k-1) times T^-1 or (-1)^i I."""
     ring = G.ring
     d = G.rank
     cochain = direction == "cochain"
+    transport = G.transport_inverse if cochain else G.transport
+    edge_names = K.simplices(1)
     add = ring.add
     one = Matrix.identity(ring, d)
     minus_one = one.neg()
-    minus_T = {}  # front edge -> -T (or -T^-1), made the first time it is needed
+    minus_T = {}  # front edge position -> -T (or -T^-1), made when first needed
     diffs = {}
     for k in range(1, K.dimension + 1):
-        face_names = basis_names.get(k - 1, ())
-        names = basis_names.get(k, ())
-        face_idx = {nm: i for i, nm in enumerate(face_names)}
-        nf, ns = len(face_names) * d, len(names) * d
+        faces_at, at = basis.get(k - 1, ()), basis.get(k, ())
+        nf, ns = len(faces_at) * d, len(at) * d
         rows = [{} for _ in range(ns if cochain else nf)]
         flip = cochain and k % 2 == 0
         # Every layer C(K^k, K^{k-1}) keeps no face of its degree-k simplices.
-        level = names if face_names else ()
-        edges = K.faces_along(level, face_path(k, (0, 1)))
-        for sj, (nm, edge) in enumerate(zip(level, edges)):
-            T = G.transport_inverse(edge) if cochain else G.transport(edge)
-            for i, f in enumerate(K.faces(nm)):
+        level = at if faces_at else ()
+        if level:
+            face_idx = dict(zip(faces_at, range(len(faces_at))))
+            faces = list(zip(*[K.faces_along(k, (i,)) for i in range(k + 1)]))
+            edges = K.faces_along(k, face_path(k, (0, 1)))
+        for sj, s in enumerate(level):
+            edge = edges[s]
+            T = transport(edge_names[edge])
+            for i, f in enumerate(faces[s]):
                 fi = face_idx.get(f)
                 if fi is None:
                     continue

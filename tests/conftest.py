@@ -127,9 +127,11 @@ def front_edge(K: tl.DeltaComplex, name: str) -> str:
 def build_complex(name: str, entries) -> tl.DeltaComplex:
     """A complex from (dimension, name, faces) entries, each checked for its
     dimension, face count, faces and name, with the face identities left
-    unchecked: how tests build a complex that fails them.  Each face entry is
-    the object given, not its simplex's own name as `parse_complex` stores."""
-    faces_of, dims, by_dim, index = {}, {}, {}, {}
+    unchecked: how tests build a complex that fails them.  Faces are given by
+    name and stored, as `parse_complex` stores them, as positions among the
+    simplices of the dimension below, each simplex's position and dimension
+    packed in one int of its index."""
+    faces_of, dims, by_dim, index, position = {}, {}, {}, {}, {}
     for dim, nm, faces in entries:
         if dim < 0:
             raise ValidationError(f"negative dimension for {nm!r}")
@@ -147,9 +149,10 @@ def build_complex(name: str, entries) -> tl.DeltaComplex:
         if nm in dims:
             raise ValidationError(f"duplicate simplex name {nm!r}")
         dims[nm] = dim
-        faces_of[nm] = tuple(faces)
+        faces_of.setdefault(dim, []).append(tuple(position[f] for f in faces))
         level = by_dim.setdefault(dim, [])
-        index[nm] = len(level)
+        position[nm] = len(level)
+        index[nm] = len(level) * complexes._DIMS + dim
         level.append(nm)
         if len(dims) > complexes.MAX_SIMPLICES:
             raise CapacityError(f"more than {complexes.MAX_SIMPLICES} simplices")

@@ -90,6 +90,13 @@ def test_usage_errors_exit_two():
     assert status == 2
 
 
+@pytest.mark.parametrize("token", ["W", "F\u00b2", "F\u0663"], ids=["W", "superscript", "arabic_indic"])
+def test_an_unsupported_ring_is_an_error(token):
+    # F followed by digits other than ASCII ones names no ring, as W does not.
+    status, text = run(f"homology fixtures/torus.cx --ring {token}")
+    assert (status, text) == (1, f"error: unsupported coefficient ring {token!r} (use Z, Q, or F<p>)\n")
+
+
 def test_all_examples_exit_zero():
     for cmd in EXAMPLE_COMMANDS:
         status, text = run(cmd)

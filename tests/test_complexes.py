@@ -51,30 +51,25 @@ def test_faces_of_an_unknown_simplex_names_it():
     (lambda K: K.dim_of("nope"), "no simplex 'nope'"),
     (lambda K: K.face("nope", 0), "no simplex 'nope'"),
     (lambda K: K.index_of("nope"), "no simplex 'nope'"),
-    # The next five walk the paths of the per-simplex walks they are named after.
-    (lambda K: K.faces_along(["nope"], face_path(2, (1, 2))), "no simplex 'nope'"),
-    (lambda K: K.faces_along(["nope"], face_path(2, (0, 2))), "no simplex 'nope'"),
-    (lambda K: K.faces_along(["nope"], face_path(2, (0,))), "no simplex 'nope'"),
-    (lambda K: [K.faces_along(["nope"], face_path(2, (m,))) for m in range(3)],
-     "no simplex 'nope'"),
-    (lambda K: K.faces_along(["nope"], face_path(2, (0, 1))), "no simplex 'nope'"),
     (lambda K: K.face("U", 7), "simplex 'U' of complex 'torus' has no face 7"),
     (lambda K: K.face("U", -1), "simplex 'U' of complex 'torus' has no face -1"),
     (lambda K: K.edge_ends("nope"), "no simplex 'nope'"),
     (lambda K: K.edge_ends("U"), "simplex 'U' of complex 'torus' is not an edge"),
     (lambda K: K.edge_ends("v"), "simplex 'v' of complex 'torus' is not an edge"),
-    (lambda K: K.faces_along(["U", "nope"], (0,)), "no simplex 'nope'"),
-    (lambda K: K.faces_along(["L", "U"], (5,)), "simplex 'L' of complex 'torus' has no face 5"),
-    (lambda K: K.faces_along(K.simplices(0), (0,)),
-     "simplex 'v' of complex 'torus' has no face 0"),
-    (lambda K: K.faces_along(["U"], (2, 0, 0)), "simplex 'v' of complex 'torus' has no face 0"),
-    (lambda K: K.faces_along(["U"], (-1,)), "simplex 'U' of complex 'torus' has no face -1"),
-    (lambda K: K.faces_along(["U", "nope"], ()), "no simplex 'nope'"),
-], ids=["dim_of", "face", "index_of", "range_face", "subset_face", "vertex",
-        "vertices", "front_edge", "face_index", "negative_face_index", "edge_ends",
-        "edge_ends_of_a_triangle", "edge_ends_of_a_vertex", "faces_along",
-        "faces_along_face_index", "faces_along_of_a_vertex", "faces_along_past_a_vertex",
-        "faces_along_negative_face_index", "faces_along_empty_path"])
+    # faces_along takes a dimension, not names: it refuses a face index past
+    # the dimension it has reached, a negative one, and a path longer than k.
+    (lambda K: K.faces_along(2, (5,)), "a 2-simplex of complex 'torus' has no face 5"),
+    (lambda K: K.faces_along(2, (0, 2)), "a 1-simplex of complex 'torus' has no face 2"),
+    (lambda K: K.faces_along(0, (0,)), r"a 0-simplex of complex 'torus' has no face path \(0,\)"),
+    (lambda K: K.faces_along(2, (2, 0, 0)),
+     r"a 2-simplex of complex 'torus' has no face path \(2, 0, 0\)"),
+    (lambda K: K.faces_along(2, (-1,)), "a 2-simplex of complex 'torus' has no face -1"),
+    (lambda K: K.faces_along(2, (0, -1)), "a 1-simplex of complex 'torus' has no face -1"),
+], ids=["dim_of", "face", "index_of", "face_index", "negative_face_index", "edge_ends",
+        "edge_ends_of_a_triangle", "edge_ends_of_a_vertex", "faces_along_face_index",
+        "faces_along_face_index_past_an_edge", "faces_along_of_a_vertex",
+        "faces_along_past_a_vertex", "faces_along_negative_face_index",
+        "faces_along_negative_face_index_of_an_edge"])
 def test_accessors_name_a_missing_simplex_or_face(call, message):
     with pytest.raises(ValidationError, match=message):
         call(load_complex("torus"))
@@ -114,10 +109,16 @@ def test_validate_face_identity_exhaustive():
 
 def test_vertex_table():
     K = load_complex("disk")
-    assert [K.faces_along(["T"], face_path(2, (m,))) for m in range(3)] == [["u"], ["v"], ["w"]]
-    assert [K.faces_along(["a"], face_path(1, (m,))) for m in range(2)] == [["v"], ["w"]]
-    assert K.faces_along(["T"], face_path(2, (0, 1))) == ["c"]
-    assert K.faces_along(["T"], face_path(2, (0, 2))) == ["b"]
+
+    def named(k, keep):
+        # The faces on keep of every k-simplex, by name.
+        return [K.simplices(len(keep) - 1)[p] for p in K.faces_along(k, face_path(k, keep))]
+
+    assert [named(2, (m,)) for m in range(3)] == [["u"], ["v"], ["w"]]
+    assert K.simplices(1)[0] == "a"
+    assert [named(1, (m,))[0] for m in range(2)] == ["v", "w"]
+    assert named(2, (0, 1)) == ["c"]
+    assert named(2, (0, 2)) == ["b"]
 
 
 @pytest.mark.parametrize("keep", [(0, 5), (-1, 1), (3,), ()],
@@ -140,19 +141,21 @@ def _walk_complexes():
 
 def _walk_mismatches(walk):
     """The (complex, d, keep) cases, over every d >= 1 and every nonempty keep,
-    where walk(K, the d-simplices, face_path(d, keep)) is not the per-simplex
-    walk's answer: subset_face, and range_face too where keep is a range."""
+    where walk(K, d, face_path(d, keep)) is not the positions of the
+    per-simplex walk's answers: subset_face, and range_face too where keep is
+    a range."""
     bad = []
     for label, K in _walk_complexes():
         for d in range(1, K.dimension + 1):
             level = K.simplices(d)
             for keep in chain.from_iterable(combinations(range(d + 1), r)
                                             for r in range(1, d + 2)):
-                wants = [[subset_face(K, nm, keep) for nm in level]]
+                wants = [[K.index_of(subset_face(K, nm, keep)) for nm in level]]
                 if keep == tuple(range(keep[0], keep[-1] + 1)):
-                    wants.append([range_face(K, nm, keep[0], keep[-1]) for nm in level])
+                    wants.append([K.index_of(range_face(K, nm, keep[0], keep[-1]))
+                                  for nm in level])
                 try:
-                    got = walk(K, level, face_path(d, keep))
+                    got = walk(K, d, face_path(d, keep))
                 except ValidationError:
                     got = None
                 if any(got != want for want in wants):
@@ -161,12 +164,12 @@ def _walk_mismatches(walk):
 
 
 def test_faces_along_matches_the_per_simplex_walks():
-    assert _walk_mismatches(lambda K, names, path: K.faces_along(names, path)) == []
+    assert _walk_mismatches(lambda K, d, path: K.faces_along(d, path)) == []
 
 
 @pytest.mark.parametrize("walk", [
-    lambda K, names, path: K.faces_along(names, path[::-1]),
-    lambda K, names, path: K.faces_along(names, path[:-1]),
+    lambda K, d, path: K.faces_along(d, path[::-1]),
+    lambda K, d, path: K.faces_along(d, path[:-1]),
 ], ids=["reversed_path", "last_step_dropped"])
 def test_the_walk_comparison_catches_a_wrong_walk(walk):
     assert _walk_mismatches(walk)
@@ -546,15 +549,15 @@ def assert_same_tables(K, R):
         assert_same_coface_table(K, R)
 
 
-def assert_each_name_held_once(K):
-    """Every face entry is the very name object its dimension lists, so the
-    distinct strings reachable from K's tables are exactly its simplices."""
-    for k in range(1, K.dimension + 1):
-        below = set(map(id, K.simplices(k - 1)))
-        assert all(id(f) in below for nm in K.simplices(k) for f in K.faces(nm))
-    held = set(map(id, chain(K._faces, chain.from_iterable(K._faces.values()),
-                             K.all_simplices(), K._index)))
-    assert len(held) == sum(K.counts())
+def assert_faces_are_positions_below(K):
+    """Each k-simplex has one face tuple, of k + 1 entries for k >= 1 and none
+    for a vertex, each an int position among the (k-1)-simplices."""
+    assert sorted(K._faces) == list(range(K.dimension + 1))
+    for k in range(K.dimension + 1):
+        size, width = len(K.simplices(k - 1)), k + 1 if k else 0
+        assert len(K._faces[k]) == len(K.simplices(k))
+        assert all(len(faces) == width and all(type(f) is int and 0 <= f < size for f in faces)
+                   for faces in K._faces[k])
 
 
 def _bench_texts():
@@ -611,7 +614,7 @@ def test_face_tables_match_the_simplex_reference(text):
     K = tl.parse_complex(text)
     R = ref_parse_complex(text)
     assert_same_tables(K, R)
-    assert_each_name_held_once(K)
+    assert_faces_are_positions_below(K)
     assert_same_tables(build_complex(K.name, entries_of(text)),
                        ref_build_complex(R.name, entries_of(text)))
 

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ from conftest import (
     sign_systems_of,
     subset_face,
 )
+from inputs import klein_bottle, twisted_system
 
 
 def test_fundamental_class_sphere():
@@ -446,3 +448,24 @@ def test_fundamental_class_solution_space_rank_one():
                 solutions.append(signs)
         assert len(solutions) == 2, name
         assert solutions[0] == tuple(-s for s in solutions[1])
+
+
+def test_systems_on_a_reordered_copy_are_read_by_edge_name():
+    # same_complex accepts a system whose base lists K's simplices in another
+    # order; its transports must still meet K's edges by name, not by position.
+    gen = klein_bottle(4, 3)
+    K = tl.parse_complex(gen.text())
+    text = twisted_system(gen, 2, "Z", random.Random(7), "g").text()
+    gen.shuffle(random.Random(7))
+    K2 = tl.parse_complex(gen.text())
+    assert K.same_complex(K2) and K.simplices(1) != K2.simplices(1)
+    G, G2 = tl.parse_system(text, K), tl.parse_system(text, K2)
+    w = tl.orientation_system(K)
+    w2 = tl.LocalSystem(w.name, K2, tl.Z, 1, w.transports)
+    for build in (tl.chain_complex, tl.cochain_complex):
+        C, C2 = build(K, G), build(K, G2)
+        assert all(C.diff(k) == C2.diff(k) for k in range(-1, 3))
+    mu, mu2 = tl.fundamental_class(K, w), tl.fundamental_class(K, w2)
+    assert mu.coefficients == mu2.coefficients
+    cap, cap2 = (tl.cap_with_fundamental_class(K, S, mu) for S in (G, G2))
+    assert all(cap.matrix(j) == cap2.matrix(j) for j in range(3))

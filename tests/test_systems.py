@@ -85,8 +85,11 @@ def test_noninvertible_transport_names_edge():
     ("system a over Z rank x\nedge a [[1]]\n", "line 1: bad rank 'x'"),
     ("system a over Z rank -1\nedge a [[1]]\n", "line 1: system rank must be >= 0"),
     ("system a over Z rank -1\n", "line 1: system rank must be >= 0"),
+    ("system a over W rank 1\n", "line 1: unsupported coefficient ring 'W' (use Z, Q, or F<p>)"),
+    ("system a over F\u00b2 rank 1\n",
+     "line 1: unsupported coefficient ring 'F\u00b2' (use Z, Q, or F<p>)"),
 ], ids=["second_header", "header_after_edges", "edge_before_header", "bad_rank",
-        "negative_rank", "negative_rank_without_edges"])
+        "negative_rank", "negative_rank_without_edges", "unknown_ring", "superscript_ring"])
 def test_a_system_takes_exactly_one_header_first(text, message):
     with pytest.raises(ParseError) as got:
         tl.parse_system(text, load_complex("torus"))
