@@ -30,7 +30,7 @@ class DeltaComplex:
 
     Its tables, filled by `parse_complex`: dimension -> names in input order
     (`_by_dim`), name -> position within its dimension and that dimension,
-    packed in one int (`_index`, read through `index_of` and `dim_of`), and
+    packed in one int (`_index`, read through `locate`), and
     dimension k -> each k-simplex's face tuple as positions among the
     (k-1)-simplices, empty for a vertex (`_faces`).  `faces_along` is the one
     walk down the face maps, a whole dimension at a time.
@@ -72,18 +72,18 @@ class DeltaComplex:
     def _no_simplex(self, name: str) -> ValidationError:
         return ValidationError(f"complex {self.name!r} has no simplex {name!r}")
 
-    def _locate(self, name: str) -> tuple[int, int]:
-        """(position, dimension) of a simplex."""
+    def locate(self, name: str) -> tuple[int, int]:
+        """(position, dimension) of a simplex: where a name crosses to positions."""
         try:
             return divmod(self._index[name], _DIMS)
         except KeyError:
             raise self._no_simplex(name) from None
 
     def dim_of(self, name: str) -> int:
-        return self._locate(name)[1]
+        return self.locate(name)[1]
 
     def faces(self, name: str) -> tuple[str, ...]:
-        i, k = self._locate(name)
+        i, k = self.locate(name)
         # k + 1 >= 2 faces name a tuple; a vertex has none.
         return itemgetter(*self._faces[k][i])(self._by_dim[k - 1]) if k else ()
 
@@ -94,7 +94,7 @@ class DeltaComplex:
         return faces[i]
 
     def index_of(self, name: str) -> int:
-        return self._locate(name)[0]
+        return self.locate(name)[0]
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(self.simplices(k)) for k in range(self.dimension + 1))
@@ -296,31 +296,34 @@ def parse_complex(text: str) -> DeltaComplex:
 
 @dataclass
 class SubcomplexPair:
-    """A complex together with a face-closed subset of its simplices."""
+    """A complex together with a face-closed subset of its simplices, held as
+    one sorted tuple of positions per dimension, 0 .. the complex's dimension."""
 
     complex: DeltaComplex
-    members: tuple[str, ...]
-    closure_added: bool
+    positions: tuple[tuple[int, ...], ...]
 
-    def member_set(self) -> frozenset:
-        return frozenset(self.members)
+    @property
+    def members(self) -> tuple[str, ...]:
+        """The member simplices' names, in the complex's order."""
+        return tuple(chain.from_iterable(
+            map(self.complex.simplices(k).__getitem__, at) for k, at in enumerate(self.positions)))
 
 
 def subcomplex(K: DeltaComplex, names) -> SubcomplexPair:
+    """The subcomplex of K that names span: their closure under faces, taken a
+    dimension at a time from the top down, one face column per face index."""
+    marked = [set() for _ in range(K.dimension + 1)]
     for nm in names:
-        if nm not in K:
-            raise ValidationError(f"unknown simplex {nm!r} in subcomplex")
-    closed = set()
-    stack = list(names)
-    while stack:
-        nm = stack.pop()
-        if nm in closed:
-            continue
-        closed.add(nm)
-        stack.extend(K.faces(nm))
-    added = len(closed) > len(set(names))
-    ordered = tuple(nm for nm in K.all_simplices() if nm in closed)
-    return SubcomplexPair(K, ordered, added)
+        try:
+            i, k = K.locate(nm)
+        except ValidationError:
+            raise ValidationError(f"unknown simplex {nm!r} in subcomplex") from None
+        marked[k].add(i)
+    for k in range(K.dimension, 0, -1):
+        if marked[k]:
+            for i in range(k + 1):
+                marked[k - 1].update(map(K.faces_along(k, (i,)).__getitem__, marked[k]))
+    return SubcomplexPair(K, tuple(tuple(sorted(at)) for at in marked))
 
 
 def parse_subcomplex(text: str, K: DeltaComplex) -> SubcomplexPair:

@@ -2,7 +2,10 @@
 
 Each simplex either maps to a same-dimension simplex (order-preserving on
 vertices) or collapses onto a lower-dimensional one via a monotone vertex
-surjection, stored as a digit tuple.
+surjection, stored as a digit tuple.  A map is given by name, an `Assignment`
+per simplex, which the constructor turns once into `images`: per dimension k,
+for each k-simplex by position, its image's position among the codomain's
+simplices of that image's dimension, and its surjection (None: nondegenerate).
 """
 
 from __future__ import annotations
@@ -18,10 +21,6 @@ class Assignment:
     image: str
     surjection: tuple[int, ...] | None  # None = nondegenerate
 
-    @property
-    def degenerate(self) -> bool:
-        return self.surjection is not None
-
 
 class SimplicialMap:
     def __init__(self, name, domain: DeltaComplex, codomain: DeltaComplex, assignments):
@@ -29,67 +28,72 @@ class SimplicialMap:
         self.domain = domain
         self.codomain = codomain
         self.assignments: dict[str, Assignment] = assignments
+        self.images: dict[int, list[tuple[int, tuple[int, ...] | None]]] = {}
         _validate_map(self)
 
 
-def _face_assignment(m: SimplicialMap, name: str, i: int) -> Assignment:
-    """Assignment forced on face_i(name) by the assignment of name."""
-    a = m.assignments[name]
-    if a.surjection is None:
-        return Assignment(m.codomain.face(a.image, i), None)
-    digits = a.surjection
-    sub = digits[:i] + digits[i + 1 :]
-    img = a.image
-    mdim = m.codomain.dim_of(img)
-    hit = set(sub)
-    missing = [v for v in range(mdim + 1) if v not in hit]
-    if missing:
-        # Monotone surjections lose at most one value when one slot is dropped.
-        val = missing[0]
-        img = m.codomain.face(img, val)
-        sub = tuple(x if x < val else x - 1 for x in sub)
-        mdim -= 1
-    if sub == tuple(range(len(sub))):
-        return Assignment(img, None)
-    return Assignment(img, sub)
-
-
 def _validate_map(m: SimplicialMap):
-    dom, cod = m.domain, m.codomain
-    for nm in dom.all_simplices():
-        if nm not in m.assignments:
-            raise ValidationError(f"map {m.name!r} misses simplex {nm!r}")
-        a = m.assignments[nm]
-        k = dom.dim_of(nm)
-        if a.image not in cod:
-            raise ValidationError(f"map {m.name!r}: unknown image {a.image!r}")
-        mdim = cod.dim_of(a.image)
-        if a.surjection is None:
-            if mdim != k:
-                raise ValidationError(
-                    f"map {m.name!r}: {nm!r} sent to {a.image!r} of different dimension"
-                )
-        else:
+    """Fill m.images, checking each simplex's own record in the domain's
+    order, then check a dimension at a time that face i of each k-simplex has
+    the record that the simplex's record forces.  The first fault in that
+    order, simplex by simplex and face by face, is raised."""
+    dom, cod, given = m.domain, m.codomain, m.assignments
+    for k in range(dom.dimension + 1):
+        m.images[k] = level = []
+        for nm in dom.simplices(k):
+            a = given.get(nm)
+            if a is None:
+                raise ValidationError(f"map {m.name!r} misses simplex {nm!r}")
+            try:
+                p, mdim = cod.locate(a.image)
+            except ValidationError:
+                raise ValidationError(f"map {m.name!r}: unknown image {a.image!r}") from None
             digits = a.surjection
-            if len(digits) != k + 1 or mdim >= k:
+            if digits is None:
+                if mdim != k:
+                    raise ValidationError(
+                        f"map {m.name!r}: {nm!r} sent to {a.image!r} of different dimension")
+            elif len(digits) != k + 1 or mdim >= k:
                 raise ValidationError(f"map {m.name!r}: bad collapse record on {nm!r}")
-            if any(b - a_ not in (0, 1) for a_, b in zip(digits, digits[1:])) or (
-                digits[0] != 0 or digits[-1] != mdim
-            ):
-                raise ValidationError(
-                    f"map {m.name!r}: surjection on {nm!r} is not monotone onto"
-                )
-    # Face compatibility: the stored assignment of each face must match the
-    # assignment derived from its cofaces.
-    for nm in dom.all_simplices():
-        for i, face in enumerate(dom.faces(nm)):
-            expected = _face_assignment(m, nm, i)
-            actual = m.assignments[face]
-            if expected != actual:
-                raise ValidationError(
-                    f"map {m.name!r}: face {i} of {nm!r} maps to {actual} "
-                    f"but the parent forces {expected}"
-                )
+            elif any(y - x not in (0, 1) for x, y in zip(digits, digits[1:])) or (
+                    digits[0] != 0 or digits[-1] != mdim):
+                raise ValidationError(f"map {m.name!r}: surjection on {nm!r} is not monotone onto")
+            level.append((p, digits))
+    # Face i of every codomain d-simplex; no image has a dimension above dom's.
+    cols = {(d, i): cod.faces_along(d, (i,))
+            for d in range(1, min(dom.dimension, cod.dimension) + 1) for i in range(d + 1)}
+    for k in range(1, dom.dimension + 1):
+        faces = [dom.faces_along(k, (i,)) for i in range(k + 1)]
+        held = [list(map(m.images[k - 1].__getitem__, f)) for f in faces]
+        forced = [_forced(cols, k, i, m.images[k]) for i in range(k + 1)]
+        if forced != held:
+            s, i = min((s, i) for i, (f, h) in enumerate(zip(forced, held))
+                       for s, (x, y) in enumerate(zip(f, h)) if x != y)
+            p, sub = forced[i][s]
+            expected = Assignment(cod.simplices(k - 1 if sub is None else sub[-1])[p], sub)
+            raise ValidationError(
+                f"map {m.name!r}: face {i} of {dom.simplices(k)[s]!r} maps to "
+                f"{given[dom.simplices(k - 1)[faces[i][s]]]} but the parent forces {expected}")
+
+
+def _forced(cols, k, i, level):
+    """The (image position, surjection) that each record of level, the
+    k-simplices' table, forces on the simplex's face i."""
+    col = cols.get((k, i))
+    out = []
+    for p, digits in level:
+        if digits is None:
+            out.append((col[p], None))
+            continue
+        val = digits[i]
+        sub = digits[:i] + digits[i + 1:]
+        if val not in sub:
+            # A monotone surjection loses at most the value in the dropped
+            # slot: the image drops to its face opposite that vertex.
+            p = cols[digits[-1], val][p]
+            sub = tuple(x if x < val else x - 1 for x in sub)
+        out.append((p, None if sub == tuple(range(len(sub))) else sub))
+    return out
 
 
 def parse_map(text: str, domain: DeltaComplex, codomain: DeltaComplex) -> SimplicialMap:

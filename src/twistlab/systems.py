@@ -210,11 +210,13 @@ def pullback_system(f: SimplicialMap, G: LocalSystem) -> LocalSystem:
         raise RingMismatchError(
             f"system {G.name!r} lives on {G.base.name!r}, not on the codomain of {f.name!r}"
         )
-    transports = {}
+    # The codomain's transports in its edge order, by name on a reordered copy.
+    edges = f.codomain.simplices(1)
+    along = (list(G.transports.values()) if G.base.simplices(1) == edges
+             else list(map(G.transport, edges)))
     ident = Matrix.identity(G.ring, G.rank)
-    for e in f.domain.simplices(1):
-        a = f.assignments[e]
-        transports[e] = ident if a.degenerate else G.transport(a.image)
+    transports = {e: ident if digits is not None else along[p]
+                  for e, (p, digits) in zip(f.domain.simplices(1), f.images.get(1, ()))}
     return LocalSystem(f"{f.name}^*{G.name}", f.domain, G.ring, G.rank, transports)
 
 

@@ -5,11 +5,14 @@ T(g)*s_0 + sum_{i>=1} (-1)^i g*s_i, where T is the transport along the
 [e_0, e_1] edge of s.  The coboundary carries the matching global sign:
 (delta c)(s) = (-1)^k [ T^{-1} c(s_0) + sum_{i>=1} (-1)^i c(s_i) ].
 Bases are ordered simplex-major in input file order, fiber coordinates inner.
+A basis, like a subcomplex, is positions: per degree, those of its simplices
+among the base's.  Names are made only for output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .complexes import DeltaComplex, SubcomplexPair, face_path
 from .errors import TwistlabError, ValidationError
@@ -28,38 +31,23 @@ from .systems import LocalSystem, pullback_system
 
 
 class TwistedComplex(FreeComplex):
-    """Free complex with a remembered simplicial basis and coefficient system."""
+    """Free complex with a remembered simplicial basis and coefficient system.
+    keep, the basis, is None (every simplex) or one sorted tuple of positions
+    per dimension of the base, as `SubcomplexPair.positions` holds them."""
 
     def __init__(self, label, base: DeltaComplex, system: LocalSystem,
-                 direction: str, keep: frozenset | None):
+                 direction: str, keep: tuple[tuple[int, ...], ...] | None):
         self.base = base
         self.system = system
-        # The basis simplices of each degree, by position in the base and by name.
-        self._basis = {k: [s for s, nm in enumerate(base.simplices(k)) if keep is None or nm in keep]
-                       for k in range(base.dimension + 1)}
-        self._basis_names = {k: tuple(map(base.simplices(k).__getitem__, at))
-                             for k, at in self._basis.items()}
-        ranks = {k: len(at) * system.rank for k, at in self._basis.items()}
+        self._basis = keep if keep is not None else tuple(
+            range(len(base.simplices(k))) for k in range(base.dimension + 1))
+        ranks = {k: len(at) * system.rank for k, at in enumerate(self._basis)}
         diffs = _diffs(base, system, self._basis, direction)
         super().__init__(label, system.ring, direction, ranks, diffs)
 
     def basis_names(self, k: int) -> tuple[str, ...]:
-        return self._basis_names.get(k, ())
-
-    def positions_of(self, k: int, names) -> list[int]:
-        """Flat coordinate indices of the given simplices at degree k."""
-        d = self.system.rank
-        idx = {nm: i for i, nm in enumerate(self.basis_names(k))}
-        out = []
-        for nm in names:
-            try:
-                base = idx[nm] * d
-            except KeyError:
-                raise ValidationError(
-                    f"{nm!r} is not a basis simplex of {self.label} in degree {k}"
-                ) from None
-            out.extend(range(base, base + d))
-        return out
+        at = self._basis[k] if 0 <= k < len(self._basis) else ()
+        return tuple(map(self.base.simplices(k).__getitem__, at))
 
 
 def _diffs(K, G, basis, direction):
@@ -79,7 +67,7 @@ def _diffs(K, G, basis, direction):
     minus_T = {}  # front edge position -> -T (or -T^-1), made when first needed
     diffs = {}
     for k in range(1, K.dimension + 1):
-        faces_at, at = basis.get(k - 1, ()), basis.get(k, ())
+        faces_at, at = basis[k - 1], basis[k]
         nf, ns = len(faces_at) * d, len(at) * d
         rows = [{} for _ in range(ns if cochain else nf)]
         flip = cochain and k % 2 == 0
@@ -136,17 +124,15 @@ def _require_base(K, G):
 def relative_complex(P: SubcomplexPair, G: LocalSystem, direction: str) -> TwistedComplex:
     """The chain or cochain complex of the pair, free on the non-member simplices."""
     _require_base(P.complex, G)
-    members = P.member_set()
-    keep = frozenset(nm for nm in P.complex.all_simplices() if nm not in members)
+    keep = tuple(tuple(sorted(set(range(len(P.complex.simplices(k)))).difference(at)))
+                 for k, at in enumerate(P.positions))
     prefix = "C" if direction == "chain" else "C^"
     return TwistedComplex(f"{prefix}({P.complex.name},L)", P.complex, G, direction, keep)
 
 
 def _sub_complex(P: SubcomplexPair, G: LocalSystem, direction: str) -> TwistedComplex:
     """The absolute complex of the subcomplex, in parent coordinates."""
-    return TwistedComplex(
-        f"C({P.complex.name}|L)", P.complex, G, direction, frozenset(P.members)
-    )
+    return TwistedComplex(f"C({P.complex.name}|L)", P.complex, G, direction, P.positions)
 
 
 # -- induced maps of simplicial maps -----------------------------------
@@ -166,10 +152,8 @@ def induced_chain_map(f: SimplicialMap, G: LocalSystem):
         # image of source simplex cj in the codomain, whose order tgt's basis
         # keeps, unless the image is degenerate.
         cols = []
-        for nm in src.basis_names(k):
-            a = f.assignments[nm]
-            ri = None if a.degenerate else f.codomain.index_of(a.image)
-            cols += [{} if ri is None else {ri * d + t: one} for t in range(d)]
+        for ri, digits in f.images[k]:
+            cols += [{} if digits is not None else {ri * d + t: one} for t in range(d)]
         chain_mats[k] = Matrix.sparse(ring, cols, tgt.rank(k)).transpose()
     chains = ChainMapData(f"{f.name}_*", src, tgt, chain_mats, 1)
 
@@ -208,15 +192,18 @@ class LesFragment:
 
 
 def _split_positions(fullC, subC, relC, degrees):
-    """The positions in fullC of the bases of subC and relC, checked in each
-    degree to split fullC's basis."""
-    sub_pos = {}
-    rel_pos = {}
+    """The coordinates in fullC of the bases of subC and relC, checked in each
+    degree to split fullC's basis, which must hold every simplex of the base:
+    the fiber coordinate t over the simplex at position p is then p * d + t."""
+    d = fullC.system.rank
+    sub_pos, rel_pos = {}, {}
     for k in degrees:
-        sub_pos[k] = fullC.positions_of(k, subC.basis_names(k))
-        rel_pos[k] = fullC.positions_of(k, relC.basis_names(k))
-        if sorted(sub_pos[k] + rel_pos[k]) != list(range(fullC.rank(k))):
+        sub, rel = subC._basis[k], relC._basis[k]
+        n = len(fullC.base.simplices(k))
+        if len(fullC._basis[k]) != n or sorted(chain(sub, rel)) != list(range(n)):
             raise TwistlabError("sub/rel coordinates do not split the full basis")
+        sub_pos[k] = [p * d + t for p in sub for t in range(d)]
+        rel_pos[k] = [p * d + t for p in rel for t in range(d)]
     return sub_pos, rel_pos
 
 
@@ -301,7 +288,7 @@ class _Skeleta:
     skeleton(k) is C(K^k), free on the simplices of dimension <= k, and
     layer(k) is C(K^k, K^{k-1}), free on the k-simplices with zero
     differential.  A layer's homology is itself with its canonical basis, so a
-    layer is never asked for it: its basis names fix the positions of the
+    layer is never asked for it: its basis fixes the positions of the
     k-cells in the skeleta.  top, when given, is C(K) and serves as the top
     skeleton.  Each complex is built the first time it is asked for, so the
     triples of consecutive degrees share the skeleton and the layer they both
@@ -318,7 +305,8 @@ class _Skeleta:
         S = self._skeleta.get(k)
         if S is None:
             K = self.K
-            keep = frozenset(nm for j in range(k + 1) for nm in K.simplices(j))
+            keep = tuple(tuple(range(len(K.simplices(j)))) if j <= k else ()
+                         for j in range(K.dimension + 1))
             S = self._skeleta[k] = TwistedComplex(f"C({K.name}^{k})", K, self.G, "chain", keep)
         return S
 
@@ -326,10 +314,10 @@ class _Skeleta:
         R = self._layers.get(k)
         if R is None:
             K = self.K
+            keep = tuple(tuple(range(len(K.simplices(j)))) if j == k else ()
+                         for j in range(K.dimension + 1))
             R = self._layers[k] = TwistedComplex(
-                f"C({K.name}^{k},{K.name}^{k - 1})", K, self.G, "chain",
-                frozenset(K.simplices(k)),
-            )
+                f"C({K.name}^{k},{K.name}^{k - 1})", K, self.G, "chain", keep)
         return R
 
 
@@ -359,7 +347,8 @@ def cellular_boundary_via_triple(K: DeltaComplex, G: LocalSystem, n: int, *,
     lower_pos, layer_pos = _split_positions(upper, lower, layer, range(n + 1))
     conn = _connecting_map(upper, Matrix.identity(G.ring, layer.rank(n)), lower,
                            layer_pos, lower_pos, n)
-    cells = lower.positions_of(n - 1, lower_layer.basis_names(n - 1))
+    # The (n-1)-cells are every coordinate of C_{n-1}(K^{n-1}), in the layer's order.
+    cells = range(lower_layer.rank(n - 1))
     return lower.homology(n - 1).representatives.select_rows(cells).mul(conn)
 
 
@@ -390,7 +379,7 @@ def triple_checks(C: TwistedComplex) -> list[TripleCheck]:
     """
     K = C.base
     if C.direction != "chain" or any(
-        C.basis_names(k) != K.simplices(k) for k in range(K.dimension + 1)
+        len(at) != len(K.simplices(k)) for k, at in enumerate(C._basis)
     ):
         raise TwistlabError(
             f"the triple check needs the absolute chain complex of {K.name!r}, not {C.label}"

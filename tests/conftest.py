@@ -67,10 +67,7 @@ def skeleton_pair(K: tl.DeltaComplex, n: int) -> tl.SubcomplexPair:
 def subcomplex_as_complex(P: tl.SubcomplexPair, new_name: str) -> tl.DeltaComplex:
     """Materialize the subcomplex as a DeltaComplex (names and order kept)."""
     K = P.complex
-    members = P.member_set()
-    entries = [
-        (K.dim_of(nm), nm, K.faces(nm)) for nm in K.all_simplices() if nm in members
-    ]
+    entries = [(K.dim_of(nm), nm, K.faces(nm)) for nm in P.members]
     return build_complex(new_name, entries)
 
 
@@ -122,6 +119,81 @@ def vertex(K: tl.DeltaComplex, name: str, m: int) -> str:
 def front_edge(K: tl.DeltaComplex, name: str) -> str:
     """The [e_0, e_1] edge of a simplex of dimension >= 1."""
     return range_face(K, name, 0, 1)
+
+
+# The name walks that `subcomplex` and `SimplicialMap` once made, one simplex,
+# one face and one name at a time: the references that the positional walks
+# are checked against.
+
+
+def reference_subcomplex(K: tl.DeltaComplex, names) -> tuple[str, ...]:
+    """The face closure of names, in K's order, or the error for the first
+    name that is not in K."""
+    for nm in names:
+        if nm not in K:
+            raise ValidationError(f"unknown simplex {nm!r} in subcomplex")
+    closed = set()
+    stack = list(names)
+    while stack:
+        nm = stack.pop()
+        if nm in closed:
+            continue
+        closed.add(nm)
+        stack.extend(K.faces(nm))
+    return tuple(nm for nm in K.all_simplices() if nm in closed)
+
+
+def _reference_face_assignment(cod: tl.DeltaComplex, a: Assignment, i: int) -> Assignment:
+    """The assignment that a forces on face i of its simplex."""
+    if a.surjection is None:
+        return Assignment(cod.face(a.image, i), None)
+    digits = a.surjection
+    sub = digits[:i] + digits[i + 1:]
+    img = a.image
+    mdim = cod.dim_of(img)
+    hit = set(sub)
+    missing = [v for v in range(mdim + 1) if v not in hit]
+    if missing:
+        # Monotone surjections lose at most one value when one slot is dropped.
+        val = missing[0]
+        img = cod.face(img, val)
+        sub = tuple(x if x < val else x - 1 for x in sub)
+    if sub == tuple(range(len(sub))):
+        return Assignment(img, None)
+    return Assignment(img, sub)
+
+
+def reference_validate_map(name: str, dom: tl.DeltaComplex, cod: tl.DeltaComplex,
+                           assignments: dict) -> None:
+    """Raise the first fault of the map as a ValidationError: every simplex's
+    own record first, in dom's order, then face compatibility."""
+    for nm in dom.all_simplices():
+        if nm not in assignments:
+            raise ValidationError(f"map {name!r} misses simplex {nm!r}")
+        a = assignments[nm]
+        k = dom.dim_of(nm)
+        if a.image not in cod:
+            raise ValidationError(f"map {name!r}: unknown image {a.image!r}")
+        mdim = cod.dim_of(a.image)
+        if a.surjection is None:
+            if mdim != k:
+                raise ValidationError(
+                    f"map {name!r}: {nm!r} sent to {a.image!r} of different dimension")
+        else:
+            digits = a.surjection
+            if len(digits) != k + 1 or mdim >= k:
+                raise ValidationError(f"map {name!r}: bad collapse record on {nm!r}")
+            if any(y - x not in (0, 1) for x, y in zip(digits, digits[1:])) or (
+                    digits[0] != 0 or digits[-1] != mdim):
+                raise ValidationError(f"map {name!r}: surjection on {nm!r} is not monotone onto")
+    for nm in dom.all_simplices():
+        for i, face in enumerate(dom.faces(nm)):
+            expected = _reference_face_assignment(cod, assignments[nm], i)
+            actual = assignments[face]
+            if expected != actual:
+                raise ValidationError(
+                    f"map {name!r}: face {i} of {nm!r} maps to {actual} "
+                    f"but the parent forces {expected}")
 
 
 def build_complex(name: str, entries) -> tl.DeltaComplex:

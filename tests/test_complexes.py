@@ -21,6 +21,7 @@ from conftest import (
     fixture_text,
     load_complex,
     range_face,
+    reference_subcomplex,
     skeleton_pair,
     subcomplex_as_complex,
     subset_face,
@@ -214,11 +215,10 @@ def test_subcomplex_closure():
     D = load_complex("disk")
     P = tl.subcomplex(D, ["a", "b", "c"])
     assert set(P.members) == {"a", "b", "c", "u", "v", "w"}
-    assert P.closure_added
+    assert P.positions == ((0, 1, 2), (0, 1, 2), ())
     # idempotent
     P2 = tl.subcomplex(D, P.members)
-    assert set(P2.members) == set(P.members)
-    assert not P2.closure_added
+    assert P2.members == P.members and P2.positions == P.positions
 
 
 def test_subcomplex_empty_and_unknown():
@@ -228,6 +228,49 @@ def test_subcomplex_empty_and_unknown():
         tl.subcomplex(K, ["nope"])
     P = tl.subcomplex(K, ["a"])
     assert set(P.members) == {"a", "v"}
+
+
+def test_subcomplex_names_the_first_unknown_simplex():
+    K = load_complex("torus")
+    for names, bad in ((["a", "nope", "gone"], "nope"), (["U", "v", "v", "x"], "x")):
+        with pytest.raises(ValidationError) as got:
+            tl.subcomplex(K, names)
+        assert str(got.value) == f"unknown simplex {bad!r} in subcomplex"
+
+
+SUB_FIXTURES = {"disk_boundary": "disk", "klein_circle": "klein", "rp2_circle": "rp2",
+                "torus_vertex": "torus"}
+
+
+def _members_or_error(closure, K, names):
+    try:
+        return closure(K, names)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def test_subcomplex_matches_the_name_walk():
+    # The positional closure gives the name walk's members in the same order,
+    # or the same error, on every fixture and on random member lists of the
+    # benchmark's families, a shuffled listing order and unknown names included.
+    rng = random.Random(34)
+    for sub, name in SUB_FIXTURES.items():
+        K = load_complex(name)
+        text = fixture_text(f"{sub}.sub")
+        names = [line.split()[1] for line in text.splitlines() if line.startswith("member ")]
+        assert tl.parse_subcomplex(text, K).members == reference_subcomplex(K, names), sub
+    shuffled = klein_bottle(3, 3)
+    shuffled.shuffle(rng)
+    gens = [kuhn_torus(4, 2), klein_bottle(4, 3), kuhn_torus(3, 3), kuhn_torus(1, 3), shuffled]
+    for K in [load_complex(n) for n in ALL_COMPLEXES] + [tl.parse_complex(g.text()) for g in gens]:
+        names = list(K.all_simplices())
+        for size in (0, 1, 2, 3, 5, 8, len(names)):
+            for _ in range(4):
+                pick = [rng.choice(names) for _ in range(size)]
+                if size and rng.random() < 0.2:
+                    pick.insert(rng.randrange(size), f"no_{rng.randrange(9)}")
+                assert (_members_or_error(lambda K, p: tl.subcomplex(K, p).members, K, pick)
+                        == _members_or_error(reference_subcomplex, K, pick)), (K.name, pick)
 
 
 @pytest.mark.parametrize("text, message", [

@@ -17,7 +17,7 @@ from conftest import (
     sign_systems_of,
     subset_face,
 )
-from inputs import klein_bottle, twisted_system
+from inputs import covering_map_text, klein_bottle, kuhn_torus, twisted_system
 
 
 def test_fundamental_class_sphere():
@@ -469,3 +469,25 @@ def test_systems_on_a_reordered_copy_are_read_by_edge_name():
     assert mu.coefficients == mu2.coefficients
     cap, cap2 = (tl.cap_with_fundamental_class(K, S, mu) for S in (G, G2))
     assert all(cap.matrix(j) == cap2.matrix(j) for j in range(3))
+    # Both long exact sequences of K and its meridian, whose positions are K's.
+    P = tl.subcomplex(K, gen.meridian)
+    for variant in ("homology", "cohomology"):
+        les, les2 = (tl.assemble_les(P, S, variant) for S in (G, G2))
+        assert les.presentations() == les2.presentations() and les.maps == les2.maps
+        assert les.exactness().all_exact
+    # The cover T4 -> T2 with a system on a reordered copy of T2: the pullback
+    # and the induced maps cross to it by edge name.
+    big, small = kuhn_torus(4, 2), kuhn_torus(2, 2)
+    D, C = tl.parse_complex(big.text()), tl.parse_complex(small.text())
+    f = tl.parse_map(covering_map_text(big, small), D, C)
+    text = twisted_system(small, 2, "Z", random.Random(7), "h").text()
+    small.shuffle(random.Random(7))
+    C2 = tl.parse_complex(small.text())
+    assert C.same_complex(C2) and C.simplices(1) != C2.simplices(1)
+    H, H2 = tl.parse_system(text, C), tl.parse_system(text, C2)
+    assert tl.pullback_system(f, H).transports == tl.pullback_system(f, H2).transports
+    for ind, ind2 in zip(tl.induced_chain_map(f, H), tl.induced_chain_map(f, H2)):
+        assert ind.source.homology(1) == ind2.source.homology(1)
+        for k in range(3):
+            assert ind.matrix(k) == ind2.matrix(k)
+            assert tl.induced_map_on_homology(ind, k) == tl.induced_map_on_homology(ind2, k)

@@ -17,6 +17,7 @@ from conftest import (
     load_system,
     random_flat_system,
     random_gauge,
+    reference_validate_map,
     skeleton_pair,
     subcomplex_as_complex,
 )
@@ -52,13 +53,23 @@ def test_basis_order_simplex_major():
     assert C.basis_names(1) == ("a",)
 
 
-def test_positions_of_names_a_simplex_outside_the_basis():
+def test_split_positions_read_the_basis_positions():
+    # Rank 2 on the torus with L = {v, b}: the fiber coordinate t over the
+    # simplex at position p of the full basis is 2p + t.
     K = load_complex("torus")
-    C = tl.chain_complex(K, tl.constant_system(K, 2, tl.Z))
-    assert C.positions_of(1, ["b", "a"]) == [2, 3, 0, 1]
-    for name in ("nope", "v", "U"):
-        with pytest.raises(ValidationError, match=f"'{name}' is not a basis simplex .* degree 1"):
-            C.positions_of(1, [name])
+    G = tl.constant_system(K, 2, tl.Z)
+    P = tl.subcomplex(K, ["b"])
+    assert P.positions == ((0,), (1,), ())
+    full = tl.chain_complex(K, G)
+    sub, rel = twisted._sub_complex(P, G, "chain"), tl.relative_complex(P, G, "chain")
+    assert rel._basis == ((), (0, 2), (0, 1)) and sub.basis_names(1) == ("b",)
+    sub_pos, rel_pos = twisted._split_positions(full, sub, rel, range(3))
+    assert sub_pos == {0: [0, 1], 1: [2, 3], 2: []}
+    assert rel_pos == {0: [], 1: [0, 1, 4, 5], 2: [0, 1, 2, 3]}
+    # Bases that overlap, miss a simplex or sit in a smaller complex do not split.
+    for whole, a, b in ((full, sub, sub), (full, sub, full), (full, rel, rel), (rel, sub, rel)):
+        with pytest.raises(TwistlabError, match="do not split the full basis"):
+            twisted._split_positions(whole, a, b, range(3))
 
 
 def test_squared_zero_randomized(rng):
@@ -269,6 +280,12 @@ def test_triple_checks_refuses_what_it_cannot_check():
     assert all(t.ok for t in twisted.triple_checks(tl.chain_complex(K, G)))
 
 
+def _every_position(K, dims):
+    """The basis of every simplex of K in the dimensions dims."""
+    return tuple(tuple(range(len(K.simplices(k)))) if k in dims else ()
+                 for k in range(K.dimension + 1))
+
+
 def reference_triple(K, G, n):
     """The composite as it was computed from a copy of K^n, with G restricted
     to the copy: the complexes of the pair (K^n, K^{n-1}) and the layer on
@@ -276,21 +293,21 @@ def reference_triple(K, G, n):
     Kn = subcomplex_as_complex(skeleton_pair(K, n), f"{K.name}@{n}")
     Gn = tl.LocalSystem(f"{G.name}|{Kn.name}", Kn, G.ring, G.rank,
                         {e: G.transport(e) for e in Kn.simplices(1)})
-    lower = frozenset(nm for k in range(n) for nm in Kn.simplices(k))
-    subC = tl.TwistedComplex("sub", Kn, Gn, "chain", lower)
+    subC = tl.TwistedComplex("sub", Kn, Gn, "chain", _every_position(Kn, range(n)))
     fullC = tl.TwistedComplex("full", Kn, Gn, "chain", None)
-    relC = tl.TwistedComplex("rel", Kn, Gn, "chain", frozenset(Kn.simplices(n)))
-    sub_pos = fullC.positions_of(n - 1, [nm for nm in fullC.basis_names(n - 1) if nm in lower])
-    rel_pos = fullC.positions_of(n, [nm for nm in fullC.basis_names(n) if nm not in lower])
+    relC = tl.TwistedComplex("rel", Kn, Gn, "chain", _every_position(Kn, (n,)))
+    # Kn's (n-1)-simplices are in subC, its n-simplices in relC, all in fullC's order.
+    sub_pos, rel_pos = range(fullC.rank(n - 1)), range(fullC.rank(n))
     img = fullC.diff(n).select_cols(rel_pos).mul(relC.homology(n).representatives)
     conn = subC.class_coordinates(n - 1, img.select_rows(sub_pos))
     psi = relC.class_coordinates(n, Matrix.identity(G.ring, relC.rank(n)))
-    relC1 = tl.TwistedComplex("rel1", Kn, Gn, "chain", frozenset(Kn.simplices(n - 1)))
+    relC1 = tl.TwistedComplex("rel1", Kn, Gn, "chain", _every_position(Kn, (n - 1,)))
     mats = {}
     for k in subC.degree_span():
+        # relC1's basis is subC's in degree n - 1 and empty in every other.
         rows = [[G.ring.zero()] * subC.rank(k) for _ in range(relC1.rank(k))]
-        for i, p in enumerate(subC.positions_of(k, relC1.basis_names(k))):
-            rows[i][p] = G.ring.one()
+        for i in range(relC1.rank(k)):
+            rows[i][i] = G.ring.one()
         m = Matrix(G.ring, rows)
         m.ncols = subC.rank(k)
         mats[k] = m
@@ -362,9 +379,9 @@ def test_triple_checks_builds_each_skeleton_and_layer_once(monkeypatch):
         assert all(t.ok for t in twisted.triple_checks(C)), name
         d = K.dimension
         assert len(builds) == 2 * d + 1, name
-        skeleta = [frozenset(nm for j in range(k + 1) for nm in K.simplices(j)) for k in range(d)]
-        layers = [frozenset(K.simplices(k)) for k in range(d + 1)]
-        assert sorted(builds, key=sorted) == sorted(skeleta + layers, key=sorted), name
+        skeleta = [_every_position(K, range(k + 1)) for k in range(d)]
+        layers = [_every_position(K, (k,)) for k in range(d + 1)]
+        assert sorted(builds) == sorted(skeleta + layers), name
         builds.clear()
         tl.cellular_boundary_via_triple(K, C.system, d)
         assert len(builds) == 4, name
@@ -462,11 +479,144 @@ def test_map_face_compatibility_enforced():
     a = {nm: Assignment("p", None if D.dim_of(nm) == 0 else tuple([0] * (D.dim_of(nm) + 1)))
          for nm in D.all_simplices()}
     m = SimplicialMap("ok", D, P, a)
-    assert m.assignments["T"].degenerate
+    assert m.images[2] == [(0, (0, 0, 0))]
     bad = dict(a)
     bad["T"] = Assignment("p", (0, 0))
     with pytest.raises(ValidationError):
         SimplicialMap("bad", D, P, bad)
+
+
+def _edited(name, changes):
+    """The assignments of a fixture map with some entries replaced, or
+    removed where the change is None."""
+    dom, cod = {"collapse": ("disk", "point"), "wrap": ("circle3", "circle1")}[name]
+    D, C = load_complex(dom), load_complex(cod)
+    a = dict(tl.parse_map(fixture_text(f"{name}.map"), D, C).assignments)
+    for nm, change in changes.items():
+        if change is None:
+            del a[nm]
+        else:
+            a[nm] = tl.maps.Assignment(*change)
+    return D, C, a
+
+
+@pytest.mark.parametrize("name, codomain, changes, message", [
+    ("wrap", None, {"v2": None, "a": ("nope", None)}, "map 'm' misses simplex 'v2'"),
+    ("wrap", None, {"a": ("nope", None), "b": ("v", None)}, "map 'm': unknown image 'nope'"),
+    ("wrap", None, {"a": ("v", None), "c": ("nope", None)},
+     "map 'm': 'a' sent to 'v' of different dimension"),
+    ("collapse", None, {"a": ("p", (0, 0, 0))}, "map 'm': bad collapse record on 'a'"),
+    ("collapse", None, {"v": ("p", (0,))}, "map 'm': bad collapse record on 'v'"),
+    ("collapse", None, {"T": ("p", (0, 1, 0))},
+     "map 'm': surjection on 'T' is not monotone onto"),
+    ("wrap", None, {"a": ("v", (1, 0))}, "map 'm': surjection on 'a' is not monotone onto"),
+    # Every per-simplex check runs before the first face check.
+    ("wrap", None, {"v1": ("v", (0,)), "b": ("v", (0, 0))},
+     "map 'm': bad collapse record on 'v1'"),
+    ("wrap", None, {"b": ("v", (0, 0)), "c": ("v", None)},
+     "map 'm': 'c' sent to 'v' of different dimension"),
+    ("wrap", "circle3", {"v1": ("v2", None), "v2": ("v1", None), "a": ("a", None),
+                         "b": ("b", None), "c": ("c", None), "v3": ("v3", None)},
+     "map 'm': face 0 of 'a' maps to Assignment(image='v1', surjection=None) "
+     "but the parent forces Assignment(image='v2', surjection=None)"),
+    # Simplex-major, then face index: face 1 of a (v2 v1) fails before
+    # face 0 of b (v3 v2).
+    ("wrap", "circle3", {"v1": ("v3", None), "v2": ("v2", None), "v3": ("v1", None),
+                         "a": ("a", None), "b": ("b", None), "c": ("c", None)},
+     "map 'm': face 1 of 'a' maps to Assignment(image='v3', surjection=None) "
+     "but the parent forces Assignment(image='v1', surjection=None)"),
+    ("wrap", "circle3", {"v1": ("v1", None), "v2": ("v2", None), "v3": ("v3", None),
+                         "a": ("a", None), "b": ("b", None), "c": ("v1", (0, 0))},
+     "map 'm': face 0 of 'c' maps to Assignment(image='v3', surjection=None) "
+     "but the parent forces Assignment(image='v1', surjection=None)"),
+], ids=["missing", "unknown_image", "wrong_dimension", "long_collapse", "collapsed_vertex",
+        "non_monotone", "onto_too_much", "first_of_two_records", "dimension_after_collapse",
+        "face_of_a_sent_edge", "first_face_wins", "face_of_a_collapsed_edge"])
+def test_map_validation_names_the_first_fault(name, codomain, changes, message):
+    D, C, a = _edited(name, changes)
+    if codomain is not None:
+        C = load_complex(codomain)
+    with pytest.raises(ValidationError) as got:
+        tl.SimplicialMap("m", D, C, a)
+    assert str(got.value) == message
+
+
+def test_map_validation_names_a_collapse_that_drops_a_vertex():
+    # disk -> circle1 with T collapsed by 001: dropping slot 2 loses vertex 1
+    # of the image edge, so face 2 must go to that edge's face 1, collapsed.
+    D, C1 = load_complex("disk"), load_complex("circle1")
+    A = tl.maps.Assignment
+    a = {"u": A("v", None), "v": A("v", None), "w": A("v", None),
+         "a": A("a", None), "b": A("a", None), "c": A("a", None), "T": A("a", (0, 0, 1))}
+    with pytest.raises(ValidationError) as got:
+        tl.SimplicialMap("m", D, C1, a)
+    assert str(got.value) == (
+        "map 'm': face 2 of 'T' maps to Assignment(image='a', surjection=None) "
+        "but the parent forces Assignment(image='v', surjection=(0, 0))")
+    a["c"] = A("v", (0, 0))
+    assert tl.SimplicialMap("m", D, C1, a).images[2] == [(0, (0, 0, 1))]
+
+
+# What a map's verdict can say, one kind of fault each.
+KINDS = ("accepted", "misses", "unknown image", "different dimension", "bad collapse",
+         "not monotone", "parent forces")
+
+
+def _verdict(check):
+    try:
+        check()
+    except ValidationError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def _mutants(dom, cod, assignments, rng, count=None):
+    """Single-assignment changes of a map: one simplex's record dropped,
+    renamed, sent elsewhere or collapsed with random digits, on every simplex
+    or on count of them drawn at random."""
+    A = tl.maps.Assignment
+    names = list(dom.all_simplices())
+    targets = names if count is None else [rng.choice(names) for _ in range(count)]
+    by_dim = [cod.simplices(j) for j in range(cod.dimension + 1)]
+    for nm in targets:
+        k = dom.dim_of(nm)
+        a = assignments[nm]
+        j = rng.randrange(len(by_dim))
+        length = k + 1 if rng.random() < 0.7 else rng.randint(1, k + 2)
+        digits = [rng.randint(0, max(j, 1)) for _ in range(length)]
+        for change in (None, A("nope", None), A(rng.choice(by_dim[j]), None),
+                       A(rng.choice(by_dim[j]), tuple(sorted(digits))),
+                       A(rng.choice(by_dim[j]), tuple(digits)),
+                       A(a.image, tuple(sorted(digits))),
+                       A(a.image, None if a.surjection else tuple(range(k + 1)))):
+            b = dict(assignments)
+            if change is None:
+                del b[nm]
+            else:
+                b[nm] = change
+            yield b
+
+
+def test_map_validation_matches_the_name_walk():
+    # Every single-assignment mutant of the collapse fixture and of the covers
+    # T4 -> T2 (each simplex) and T16 -> T8 (a sample) is accepted or refused
+    # with the name walk's verdict and message.
+    from inputs import covering_map_text, kuhn_torus
+
+    rng = random.Random(34)
+    disk, point = load_complex("disk"), load_complex("point")
+    maps = [(disk, point, tl.parse_map(fixture_text("collapse.map"), disk, point), None)]
+    for n, count in ((2, None), (8, 40)):
+        big, small = kuhn_torus(2 * n, 2), kuhn_torus(n, 2)
+        D, C = tl.parse_complex(big.text()), tl.parse_complex(small.text())
+        maps.append((D, C, tl.parse_map(covering_map_text(big, small), D, C), count))
+    verdicts = set()
+    for D, C, f, count in maps:
+        for b in _mutants(D, C, f.assignments, rng, count):
+            want = _verdict(lambda: reference_validate_map("m", D, C, b))
+            assert _verdict(lambda: tl.SimplicialMap("m", D, C, b)) == want, want
+            verdicts.update(kind for kind in KINDS if kind in want)
+    assert verdicts == set(KINDS)
 
 
 def test_sphere2_rank2_rational_dims():
